@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "eval/report.hpp"
 #include "runtime/thread_pool.hpp"
@@ -178,12 +177,8 @@ void RunEpsSweepFigure(const EpsSweepFigure& figure,
   core::StaticWorkbench workbench(MakeStaticTrain(2048), MakeStaticTest(512),
                                   FigureOptions());
   scenario::StaticScenarioEngine engine(workbench);
-  std::unique_ptr<scenario::StaticScenarioStore> store;
-  if (!cli.cache_dir.empty()) {
-    store = std::make_unique<scenario::StaticScenarioStore>(cli.cache_dir,
-                                                            workbench);
-    engine.set_store(store.get());
-  }
+  scenario::StaticScenarioStore store(cli.cache_dir, workbench);
+  engine.set_store(&store);
 
   const std::vector<double> eps_grid = PaperEpsGrid();
   scenario::ScenarioGrid grid;

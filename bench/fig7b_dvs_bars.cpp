@@ -9,7 +9,6 @@
 // Frame} x level axis {0, 0.1} (level 0 is the accurate model) — with the
 // engine training once and crafting each attack once.
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
 #include "eval/report.hpp"
@@ -26,12 +25,8 @@ int main(int argc, char** argv) {
   core::DvsWorkbench workbench(bench::MakeDvsTrain(550),
                                bench::MakeDvsTest(110), bench::DvsOptions());
   scenario::DvsScenarioEngine engine(workbench);
-  std::unique_ptr<scenario::DvsScenarioStore> store;
-  if (!cli.cache_dir.empty()) {
-    store =
-        std::make_unique<scenario::DvsScenarioStore>(cli.cache_dir, workbench);
-    engine.set_store(store.get());
-  }
+  scenario::DvsScenarioStore store(cli.cache_dir, workbench);
+  engine.set_store(&store);
 
   scenario::ScenarioGrid grid;
   grid.v_thresholds = {1.0f};

@@ -15,7 +15,6 @@
 // Regenerating the golden (only after an *intentional* numerical change):
 //   ./bench_scenario_golden > ../bench/golden/scenario_fig2_mini.golden
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
 #include "eval/report.hpp"
@@ -27,12 +26,8 @@ int main(int argc, char** argv) {
   const scenario::ShardRunnerOptions cli = bench::ParseCliOrExit(argc, argv);
   core::StaticWorkbench workbench = bench::MiniFig2Workbench();
   scenario::StaticScenarioEngine engine(workbench);
-  std::unique_ptr<scenario::StaticScenarioStore> store;
-  if (!cli.cache_dir.empty()) {
-    store = std::make_unique<scenario::StaticScenarioStore>(cli.cache_dir,
-                                                            workbench);
-    engine.set_store(store.get());
-  }
+  scenario::StaticScenarioStore store(cli.cache_dir, workbench);
+  engine.set_store(&store);
 
   scenario::ScenarioGrid grid;
   grid.v_thresholds = {0.25f};

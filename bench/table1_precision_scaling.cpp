@@ -12,7 +12,6 @@
 // cache lets the PGD and BIM searches of one structural cell train it only
 // once (6 searches, 3 trainings).
 #include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -36,12 +35,8 @@ int main(int argc, char** argv) {
                                   bench::MakeStaticTest(256),
                                   bench::FigureOptions());
   scenario::StaticScenarioEngine engine(workbench);
-  std::unique_ptr<scenario::StaticScenarioStore> store;
-  if (!cli.cache_dir.empty()) {
-    store = std::make_unique<scenario::StaticScenarioStore>(cli.cache_dir,
-                                                            workbench);
-    engine.set_store(store.get());
-  }
+  scenario::StaticScenarioStore store(cli.cache_dir, workbench);
+  engine.set_store(&store);
 
   const std::vector<std::pair<float, long>> cells = {
       {0.25f, 32}, {0.75f, 32}, {1.0f, 48}};

@@ -14,7 +14,6 @@
 // (qt, ath) pairs vary jointly, not as a cross product. All grids run on
 // one engine, so the model trains once and each attack crafts once.
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
 #include "eval/report.hpp"
@@ -36,12 +35,8 @@ int main(int argc, char** argv) {
   core::DvsWorkbench workbench(bench::MakeDvsTrain(550),
                                bench::MakeDvsTest(110), bench::DvsOptions());
   scenario::DvsScenarioEngine engine(workbench);
-  std::unique_ptr<scenario::DvsScenarioStore> store;
-  if (!cli.cache_dir.empty()) {
-    store =
-        std::make_unique<scenario::DvsScenarioStore>(cli.cache_dir, workbench);
-    engine.set_store(store.get());
-  }
+  scenario::DvsScenarioStore store(cli.cache_dir, workbench);
+  engine.set_store(&store);
 
   // Reference grid: the clean baseline and the undefended accuracies of the
   // accurate model (level 0) under each attack.

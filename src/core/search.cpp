@@ -143,48 +143,40 @@ SearchOutcome PrecisionScalingSearch(const StaticWorkbench& bench,
   AXSNN_CHECK(engine == nullptr || &engine->bench() == &bench,
               "the supplied scenario engine wraps a different workbench");
   const std::vector<VariantSpec> specs = GridSpecs(space);
+  scenario::StaticScenarioEngine local(bench);
+  scenario::StaticScenarioEngine& exec = engine != nullptr ? *engine : local;
 
   if (!config.return_first) {
     // Whole-grid mode: one declarative scenario on the engine.
-    scenario::StaticScenarioEngine local(bench);
-    scenario::StaticScenarioEngine& exec = engine ? *engine : local;
     return FoldGridOutcome(exec.Run(MakeSearchGrid(space, config, attack)),
                            config, specs);
   }
 
   // First-hit mode: the paper's serial grid walk, stopping at the first
-  // candidate meeting Q (so later structural cells never train). A provided
-  // engine still shares its trained-model cache.
+  // candidate meeting Q (so later structural cells never train).
   SearchOutcome outcome;
   BestTracker best;
   for (float vth : space.v_thresholds) {
     for (long t : space.time_steps) {
       // Line 3: train the accurate SNN at this structural cell.
-      StaticWorkbench::TrainedModel local_model;
-      const StaticWorkbench::TrainedModel* model;
-      if (engine != nullptr) {
-        model = &engine->TrainCached(vth, t);
-      } else {
-        local_model = bench.Train(vth, t);
-        model = &local_model;
-      }
+      const StaticWorkbench::TrainedModel& model = exec.TrainCached(vth, t);
       // Line 4: quality gate on learning.
-      if (model->train_accuracy_pct < config.quality_constraint_pct) continue;
+      if (model.train_accuracy_pct < config.quality_constraint_pct) continue;
       // Line 5: adversarial examples crafted on the accurate model.
-      Tensor adversarial = bench.Craft(*model, attack.name(), config.epsilon,
+      Tensor adversarial = bench.Craft(model, attack.name(), config.epsilon,
                                        config.attack_params);
 
       // Lines 8-21 for the whole (precision, level) grid of this structural
       // cell: independent variants fan out on the runtime pool.
       const std::vector<float> robustness =
-          bench.EvaluateVariants(*model, adversarial, specs);
+          bench.EvaluateVariants(model, adversarial, specs);
 
       // Lines 22-24: fold back in grid order; accept on the quality
       // constraint exactly like the serial loop.
       CandidateResult base;
       base.v_threshold = vth;
       base.time_steps = t;
-      base.train_accuracy_pct = model->train_accuracy_pct;
+      base.train_accuracy_pct = model.train_accuracy_pct;
       if (AccumulateCell(outcome, best, config, base, specs, robustness))
         return outcome;
     }
@@ -210,39 +202,32 @@ SearchOutcome PrecisionScalingSearch(const DvsWorkbench& bench,
       config.neuromorphic ? std::optional<AqfConfig>(config.aqf)
                           : std::nullopt;
   const std::vector<VariantSpec> specs = GridSpecs(space);
+  scenario::DvsScenarioEngine local(bench);
+  scenario::DvsScenarioEngine& exec = engine != nullptr ? *engine : local;
 
   if (!config.return_first) {
     scenario::ScenarioGrid grid = MakeSearchGrid(space, config, attack);
     grid.time_steps = {bench.options().time_bins};  // binning fixes T
     grid.epsilons = {0.0};                          // no event epsilon
     grid.aqfs = {aqf};
-    scenario::DvsScenarioEngine local(bench);
-    scenario::DvsScenarioEngine& exec = engine ? *engine : local;
     return FoldGridOutcome(exec.Run(grid), config, specs);
   }
 
   SearchOutcome outcome;
   BestTracker best;
   for (float vth : space.v_thresholds) {
-    DvsWorkbench::TrainedModel local_model;
-    const DvsWorkbench::TrainedModel* model;
-    if (engine != nullptr) {
-      model = &engine->TrainCached(vth);
-    } else {
-      local_model = bench.Train(vth);
-      model = &local_model;
-    }
-    if (model->train_accuracy_pct < config.quality_constraint_pct) continue;
+    const DvsWorkbench::TrainedModel& model = exec.TrainCached(vth);
+    if (model.train_accuracy_pct < config.quality_constraint_pct) continue;
     data::EventDataset adversarial =
-        bench.Craft(*model, attack.name(), config.attack_params);
+        bench.Craft(model, attack.name(), config.attack_params);
 
     const std::vector<float> robustness =
-        bench.EvaluateVariants(*model, adversarial, aqf, specs);
+        bench.EvaluateVariants(model, adversarial, aqf, specs);
 
     CandidateResult base;
     base.v_threshold = vth;
-    base.time_steps = model->time_bins;
-    base.train_accuracy_pct = model->train_accuracy_pct;
+    base.time_steps = model.time_bins;
+    base.train_accuracy_pct = model.train_accuracy_pct;
     if (AccumulateCell(outcome, best, config, base, specs, robustness))
       return outcome;
   }

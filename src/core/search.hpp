@@ -18,8 +18,8 @@
 #include "core/workbench.hpp"
 
 namespace axsnn::scenario {
-class StaticScenarioEngine;
-class DvsScenarioEngine;
+template <typename Bench>
+class ScenarioEngine;  // scenario/engine.hpp
 }  // namespace axsnn::scenario
 
 namespace axsnn::core {
@@ -84,13 +84,14 @@ struct SearchOutcome {
 /// exiting at the first candidate meeting Q; otherwise the whole grid is a
 /// declarative ScenarioGrid executed on the scenario engine (training gate
 /// included) and folded back in grid order — bit-identical to the serial
-/// walk. Passing `engine` shares its trained-model and crafted-set caches
-/// across searches (e.g. Table I's PGD and BIM searches of one structural
-/// cell train it once); nullptr uses a search-local engine.
+/// walk. Both modes train through the engine's store, so passing `engine`
+/// shares trained models (and, in whole-grid mode, crafted sets) across
+/// searches (e.g. Table I's PGD and BIM searches of one structural cell
+/// train it once); nullptr uses a search-local engine.
 SearchOutcome PrecisionScalingSearch(
     const StaticWorkbench& bench, const SearchSpace& space,
     const SearchConfig& config,
-    scenario::StaticScenarioEngine* engine = nullptr);
+    scenario::ScenarioEngine<StaticWorkbench>* engine = nullptr);
 
 /// Algorithm 1 over an event-stream task (any event-capable registry
 /// attack, optional AQF). Time steps are fixed by the workbench's binning,
@@ -98,6 +99,6 @@ SearchOutcome PrecisionScalingSearch(
 SearchOutcome PrecisionScalingSearch(
     const DvsWorkbench& bench, const SearchSpace& space,
     const SearchConfig& config,
-    scenario::DvsScenarioEngine* engine = nullptr);
+    scenario::ScenarioEngine<DvsWorkbench>* engine = nullptr);
 
 }  // namespace axsnn::core

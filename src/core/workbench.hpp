@@ -93,6 +93,9 @@ class StaticWorkbench {
     approx::CalibrationStats calibration;
   };
 
+  /// What Craft returns: the attacked test images.
+  using AdversarialSet = Tensor;
+
   StaticWorkbench(data::StaticDataset train_set, data::StaticDataset test_set,
                   Options options);
 
@@ -185,6 +188,9 @@ class DvsWorkbench {
     float train_accuracy_pct = 0.0f;
     approx::CalibrationStats calibration;
   };
+
+  /// What Craft returns: the attacked test streams.
+  using AdversarialSet = data::EventDataset;
 
   DvsWorkbench(data::EventDataset train_set, data::EventDataset test_set,
                Options options);

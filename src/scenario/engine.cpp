@@ -1,15 +1,14 @@
 #include "scenario/engine.hpp"
 
+#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstring>
 #include <limits>
-#include <sstream>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "faults/inject.hpp"
 #include "runtime/parallel_for.hpp"
-#include "scenario/store.hpp"
 #include "tensor/check.hpp"
 
 namespace axsnn::scenario {
@@ -20,22 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::uint64_t DoubleKeyBits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-/// Collision-free craft-cache key: structural cell + attack identity (the
-/// deterministic label includes parameter overrides) + exact epsilon bits.
-std::string CraftKey(float vth, long time_steps, const AttackSpec& attack,
-                     double epsilon) {
-  std::ostringstream os;
-  os << 'v' << detail::FloatKeyBits(vth) << '|' << 't' << time_steps << '|'
-     << attack.Label() << '|' << 'e' << DoubleKeyBits(epsilon);
-  return os.str();
 }
 
 /// The per-unit variant list: the aqf x precision x level x kernel inner
@@ -74,20 +57,21 @@ bool FaultFreeUnit(const ScenarioGrid& grid,
 
 /// What Run does with one work unit.
 enum class UnitPlan : char {
-  kCompute,  ///< train/craft/evaluate (and journal when a store is attached)
+  kCompute,  ///< train/craft/evaluate, then journal
   kSkip,     ///< owned by another shard; cells stay unevaluated
   kReplay,   ///< journaled result replays from the store
 };
 
-void ValidateRunOptions(const RunOptions& options, const void* store) {
+void ValidateRunOptions(const RunOptions& options, bool persistent_store) {
   if (options.shard.has_value()) {
     AXSNN_CHECK(options.shard->count > 0 && options.shard->index >= 0 &&
                     options.shard->index < options.shard->count,
                 "shard spec must satisfy 0 <= index < count, got "
                     << options.shard->index << "/" << options.shard->count);
   }
-  AXSNN_CHECK(!options.resume || store != nullptr,
-              "resume requires an attached scenario store (set_store)");
+  AXSNN_CHECK(!options.resume || persistent_store,
+              "resume requires a scenario store with a root directory "
+              "(set_store)");
 }
 
 /// Copies a replayed journal record into the unit's outcome block.
@@ -102,62 +86,109 @@ void ApplyReplay(const UnitRecord& record, std::size_t base, std::size_t block,
   }
 }
 
+// --- what differs per workbench ---------------------------------------------
+
+bool ForEvents(const core::StaticWorkbench&) { return false; }
+bool ForEvents(const core::DvsWorkbench&) { return true; }
+
+/// DVS cells train at the workbench binning, whatever the (single-entry)
+/// time axis says; static cells take the axis value.
+std::optional<long> TimeOverride(const core::StaticWorkbench&) { return {}; }
+std::optional<long> TimeOverride(const core::DvsWorkbench& bench) {
+  return bench.options().time_bins;
+}
+
+core::StaticWorkbench::TrainedModel Train(const core::StaticWorkbench& bench,
+                                          float vth, long time_steps) {
+  return bench.Train(vth, time_steps);
+}
+core::DvsWorkbench::TrainedModel Train(const core::DvsWorkbench& bench,
+                                       float vth, long) {
+  return bench.Train(vth);
+}
+
+Tensor Craft(const core::StaticWorkbench& bench,
+             const core::StaticWorkbench::TrainedModel& model,
+             const AttackSpec& attack, double epsilon) {
+  return bench.Craft(model, attack.name, static_cast<float>(epsilon),
+                     attack.params);
+}
+data::EventDataset Craft(const core::DvsWorkbench& bench,
+                         const core::DvsWorkbench::TrainedModel& model,
+                         const AttackSpec& attack, double) {
+  return bench.Craft(model, attack.name, attack.params);
+}
+
+/// Static grids carry only disengaged aqf entries (validated), so `aqf` is
+/// always nullopt there.
+std::vector<float> EvaluateVariants(
+    const core::StaticWorkbench& bench,
+    const core::StaticWorkbench::TrainedModel& model, const Tensor& images,
+    const std::optional<core::AqfConfig>&,
+    std::span<const core::VariantSpec> variants) {
+  return bench.EvaluateVariants(model, images, variants);
+}
+std::vector<float> EvaluateVariants(
+    const core::DvsWorkbench& bench,
+    const core::DvsWorkbench::TrainedModel& model,
+    const data::EventDataset& streams,
+    const std::optional<core::AqfConfig>& aqf,
+    std::span<const core::VariantSpec> variants) {
+  return bench.EvaluateVariants(model, streams, aqf, variants);
+}
+
+float AccuracyPct(const core::StaticWorkbench& bench, snn::Network& victim,
+                  const core::StaticWorkbench::TrainedModel& model,
+                  const Tensor& images, const std::optional<core::AqfConfig>&) {
+  return bench.AccuracyPct(victim, images, model.time_steps);
+}
+float AccuracyPct(const core::DvsWorkbench& bench, snn::Network& victim,
+                  const core::DvsWorkbench::TrainedModel&,
+                  const data::EventDataset& streams,
+                  const std::optional<core::AqfConfig>& aqf) {
+  return bench.AccuracyPct(victim, streams, aqf);
+}
+
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// StaticScenarioEngine
-// ---------------------------------------------------------------------------
+template <typename Bench>
+ScenarioEngine<Bench>::ScenarioEngine(const Bench& bench)
+    : bench_(bench), own_store_(std::string(), bench) {}
 
-StaticScenarioEngine::StaticScenarioEngine(const core::StaticWorkbench& bench)
-    : bench_(bench) {
-  train_fn_ = [this](float vth, long t) { return bench_.Train(vth, t); };
-  craft_fn_ = [this](const TrainedModel& model, const AttackSpec& attack,
-                     float epsilon) {
-    return bench_.Craft(model, attack.name, epsilon, attack.params);
-  };
-}
-
-void StaticScenarioEngine::set_train_fn(TrainFn fn) {
-  AXSNN_CHECK(fn != nullptr, "train hook must be callable");
-  train_fn_ = std::move(fn);
-}
-
-void StaticScenarioEngine::set_craft_fn(CraftFn fn) {
-  AXSNN_CHECK(fn != nullptr, "craft hook must be callable");
-  craft_fn_ = std::move(fn);
-}
-
-const StaticScenarioEngine::TrainedModel& StaticScenarioEngine::TrainCached(
+template <typename Bench>
+const typename Bench::TrainedModel& ScenarioEngine<Bench>::Model(
     float vth, long time_steps) {
-  return model_cache_.GetOrTrain(vth, time_steps, bench_.options().seed, [&] {
-    if (store_ != nullptr) {
-      TrainedModel from_disk;
-      if (store_->LoadModel(vth, time_steps, from_disk)) {
-        store_model_hits_.fetch_add(1, std::memory_order_relaxed);
-        return from_disk;
-      }
-    }
-    TrainedModel fresh = train_fn_(vth, time_steps);
-    computed_trains_.fetch_add(1, std::memory_order_relaxed);
-    if (store_ != nullptr) store_->SaveModel(fresh);
-    return fresh;
-  });
+  return store_->FetchModel(vth, time_steps,
+                            [&] { return Train(bench_, vth, time_steps); });
 }
 
-void StaticScenarioEngine::ClearCraftCache() { craft_cache_.Clear(); }
-
-ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid) {
-  return Run(grid, RunOptions{});
+template <typename Bench>
+const typename Bench::TrainedModel& ScenarioEngine<Bench>::TrainCached(
+    float vth, long time_steps)
+  requires std::same_as<Bench, core::StaticWorkbench>
+{
+  return Model(vth, time_steps);
 }
 
-ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
-                                          const RunOptions& options) {
-  ValidateScenarioGrid(grid, /*for_events=*/false);
-  ValidateRunOptions(options, store_);
+template <typename Bench>
+const typename Bench::TrainedModel& ScenarioEngine<Bench>::TrainCached(
+    float vth)
+  requires std::same_as<Bench, core::DvsWorkbench>
+{
+  return Model(vth, bench_.options().time_bins);
+}
 
+template <typename Bench>
+ScenarioOutcome ScenarioEngine<Bench>::Run(const ScenarioGrid& grid,
+                                           const RunOptions& options) {
+  const bool for_events = ForEvents(bench_);
+  ValidateScenarioGrid(grid, for_events);
+  ValidateRunOptions(options, store_->artifacts().persistent());
+
+  const std::optional<long> time_override = TimeOverride(bench_);
   ScenarioOutcome outcome;
   outcome.grid = grid;
-  outcome.cells = ExpandScenarioGrid(grid);
+  outcome.cells = ExpandScenarioGrid(grid, time_override);
   const std::size_t cell_count = outcome.cells.size();
   outcome.robustness_pct.assign(cell_count,
                                 std::numeric_limits<float>::quiet_NaN());
@@ -165,17 +196,8 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
   outcome.evaluated.assign(cell_count, 0);
 
   const auto run_start = Clock::now();
-  const long train_hits0 = model_cache_.hits();
-  const long craft_hits0 = craft_cache_.hits();
-  const long computed_trains0 =
-      computed_trains_.load(std::memory_order_relaxed);
-  const long computed_crafts0 =
-      computed_crafts_.load(std::memory_order_relaxed);
-  const long store_model_hits0 =
-      store_model_hits_.load(std::memory_order_relaxed);
-  const long store_craft_hits0 =
-      store_craft_hits_.load(std::memory_order_relaxed);
-  std::atomic<long> uncached_trainings{0};
+  const TierCounts models0 = store_->model_counts();
+  const TierCounts crafts0 = store_->craft_counts();
   std::atomic<long> gated_units{0};
   std::atomic<long> replayed_units{0};
   std::atomic<long> faulted_evals{0};
@@ -194,8 +216,7 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
   // resumed runs. The replay probe is sequential disk I/O — cheap next to
   // training — and a record whose block size disagrees with this grid is
   // treated as absent (defensive; the grid key already pins the axes).
-  const std::string grid_key =
-      store_ != nullptr ? store_->GridKey(grid) : std::string();
+  const std::string grid_key = store_->GridKey(grid);
   std::vector<UnitPlan> plan(static_cast<std::size_t>(unit_count),
                              UnitPlan::kCompute);
   std::vector<UnitRecord> replay(static_cast<std::size_t>(unit_count));
@@ -215,32 +236,28 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
 
   // Phase 1: train every structural cell that still has a unit to compute,
   // cells in parallel. Replayed/foreign-shard units never touch a model, so
-  // a warm resume trains nothing. With the cache disabled units train for
-  // themselves in phase 2.
-  if (cache_enabled_) {
-    std::vector<long> needed_cells;
-    std::vector<char> cell_needed(
-        static_cast<std::size_t>(vth_count * time_count), 0);
-    for (long unit = 0; unit < unit_count; ++unit) {
-      if (plan[static_cast<std::size_t>(unit)] != UnitPlan::kCompute) continue;
-      const long cell = unit / (attack_count * eps_count);
-      if (!cell_needed[static_cast<std::size_t>(cell)]) {
-        cell_needed[static_cast<std::size_t>(cell)] = 1;
-        needed_cells.push_back(cell);
-      }
+  // a warm resume trains nothing.
+  std::vector<long> needed_cells;
+  std::vector<char> cell_needed(
+      static_cast<std::size_t>(vth_count * time_count), 0);
+  for (long unit = 0; unit < unit_count; ++unit) {
+    if (plan[static_cast<std::size_t>(unit)] != UnitPlan::kCompute) continue;
+    const long cell = unit / (attack_count * eps_count);
+    if (!cell_needed[static_cast<std::size_t>(cell)]) {
+      cell_needed[static_cast<std::size_t>(cell)] = 1;
+      needed_cells.push_back(cell);
     }
-    runtime::ParallelFor(
-        0, static_cast<long>(needed_cells.size()),
-        [&](long i) {
-          const long cell = needed_cells[static_cast<std::size_t>(i)];
-          const float vth =
-              grid.v_thresholds[static_cast<std::size_t>(cell / time_count)];
-          const long t =
-              grid.time_steps[static_cast<std::size_t>(cell % time_count)];
-          (void)TrainCached(vth, t);
-        },
-        /*grain=*/1);
   }
+  runtime::ParallelFor(
+      0, static_cast<long>(needed_cells.size()),
+      [&](long i) {
+        const long cell = needed_cells[static_cast<std::size_t>(i)];
+        (void)Model(
+            grid.v_thresholds[static_cast<std::size_t>(cell / time_count)],
+            time_override.value_or(
+                grid.time_steps[static_cast<std::size_t>(cell % time_count)]));
+      },
+      /*grain=*/1);
   outcome.stats.train_seconds = SecondsSince(run_start);
 
   // Phase 2: one work unit per (structural cell, attack, epsilon) — craft
@@ -270,53 +287,28 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
           return;
         }
 
-        const float vth = grid.v_thresholds[iv];
-        const long t = grid.time_steps[it];
         const AttackSpec& attack = grid.attacks[ia];
         const double epsilon = grid.epsilons[ie];
-
-        TrainedModel local;
-        const TrainedModel* model = nullptr;
-        if (cache_enabled_) {
-          model = &TrainCached(vth, t);
-        } else {
-          local = train_fn_(vth, t);
-          uncached_trainings.fetch_add(1, std::memory_order_relaxed);
-          model = &local;
-        }
+        const TrainedModel& model =
+            Model(grid.v_thresholds[iv],
+                  time_override.value_or(grid.time_steps[it]));
 
         for (std::size_t i = 0; i < block; ++i)
-          outcome.train_accuracy_pct[base + i] = model->train_accuracy_pct;
+          outcome.train_accuracy_pct[base + i] = model.train_accuracy_pct;
 
         if (grid.min_train_accuracy_pct.has_value() &&
-            model->train_accuracy_pct < *grid.min_train_accuracy_pct) {
+            model.train_accuracy_pct < *grid.min_train_accuracy_pct) {
           gated_units.fetch_add(1, std::memory_order_relaxed);
-          if (store_ != nullptr) {
-            UnitRecord record;
-            record.gated = true;
-            record.train_accuracy_pct = model->train_accuracy_pct;
-            store_->SaveUnit(grid_key, unit, record);
-          }
+          UnitRecord record;
+          record.gated = true;
+          record.train_accuracy_pct = model.train_accuracy_pct;
+          store_->SaveUnit(grid_key, unit, record);
           return;  // robustness stays NaN, evaluated stays false
         }
 
-        // Craft through the in-memory cache (persistent across Run calls),
-        // which itself consults the disk store before computing.
-        const Tensor& adversarial = craft_cache_.GetOrCompute(
-            CraftKey(vth, t, attack, epsilon), [&] {
-              if (store_ != nullptr) {
-                Tensor from_disk;
-                if (store_->LoadCraft(*model, attack, epsilon, from_disk)) {
-                  store_craft_hits_.fetch_add(1, std::memory_order_relaxed);
-                  return from_disk;
-                }
-              }
-              Tensor fresh =
-                  craft_fn_(*model, attack, static_cast<float>(epsilon));
-              computed_crafts_.fetch_add(1, std::memory_order_relaxed);
-              if (store_ != nullptr)
-                store_->SaveCraft(*model, attack, epsilon, fresh);
-              return fresh;
+        const auto& adversarial =
+            store_->FetchCraft(model, attack, epsilon, [&] {
+              return Craft(bench_, model, attack, epsilon);
             });
 
         // Fault-free units keep the single EvaluateVariants call (and its
@@ -324,13 +316,15 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
         // pair and evaluate it on the pool — each pair owns its slot, so
         // the fan-out stays bit-identical at any pool size. The attack's
         // fault (if any) applies before the axis fault, on the variant's
-        // own precision surface.
+        // own precision surface. AccuracyPct falls back to the dense path
+        // for hooked (activation-fault) clones.
         const faults::FaultSpec attack_fault = AttackFault(attack);
-        std::vector<float> robustness;
-        if (FaultFreeUnit(grid, attack_fault)) {
-          robustness = bench_.EvaluateVariants(*model, adversarial, variants);
-        } else {
-          robustness.assign(variants.size() * fault_count, 0.0f);
+        const auto evaluate_slice =
+            [&](const std::optional<core::AqfConfig>& aqf) {
+          if (FaultFreeUnit(grid, attack_fault))
+            return EvaluateVariants(bench_, model, adversarial, aqf,
+                                    variants);
+          std::vector<float> robustness(variants.size() * fault_count);
           runtime::ParallelFor(
               0, static_cast<long>(robustness.size()),
               [&](long j) {
@@ -339,7 +333,7 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
                 const std::size_t ivr =
                     static_cast<std::size_t>(j) / fault_count;
                 const core::VariantSpec& vspec = variants[ivr];
-                snn::Network ax = bench_.MakeAx(*model, vspec);
+                snn::Network ax = bench_.MakeAx(model, vspec);
                 bool faulted = false;
                 if (!attack_fault.is_none()) {
                   faults::ApplyFault(ax, attack_fault, vspec.precision);
@@ -353,13 +347,17 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
                 if (faulted)
                   faulted_evals.fetch_add(1, std::memory_order_relaxed);
                 robustness[static_cast<std::size_t>(j)] =
-                    bench_.AccuracyPct(ax, adversarial, model->time_steps);
+                    AccuracyPct(bench_, ax, model, adversarial, aqf);
               },
               /*grain=*/1);
-        }
-        // Both paths produce the variants x faults inner block (fast path:
-        // fault_count == 1), replicated across the (disengaged) aqf axis.
+          return robustness;
+        };
+        // Both paths produce the variants x faults inner block. Static aqf
+        // slices are all disengaged, so their block evaluates once and is
+        // replicated; DVS evaluates each slice behind its own filter.
+        std::vector<float> robustness;
         for (std::size_t iq = 0; iq < grid.aqfs.size(); ++iq) {
+          if (iq == 0 || for_events) robustness = evaluate_slice(grid.aqfs[iq]);
           const std::size_t slice = base + iq * robustness.size();
           for (std::size_t i = 0; i < robustness.size(); ++i) {
             outcome.robustness_pct[slice + i] = robustness[i];
@@ -367,331 +365,46 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
           }
         }
 
-        if (store_ != nullptr) {
-          UnitRecord record;
-          record.train_accuracy_pct = model->train_accuracy_pct;
-          record.robustness.assign(
-              outcome.robustness_pct.begin() + static_cast<long>(base),
-              outcome.robustness_pct.begin() + static_cast<long>(base + block));
-          store_->SaveUnit(grid_key, unit, record);
-        }
+        UnitRecord record;
+        record.train_accuracy_pct = model.train_accuracy_pct;
+        record.robustness.assign(
+            outcome.robustness_pct.begin() + static_cast<long>(base),
+            outcome.robustness_pct.begin() + static_cast<long>(base + block));
+        store_->SaveUnit(grid_key, unit, record);
       },
       /*grain=*/1);
 
   outcome.stats.sweep_seconds = SecondsSince(sweep_start);
   outcome.stats.wall_seconds = SecondsSince(run_start);
-  outcome.stats.train_cache_hits = model_cache_.hits() - train_hits0;
-  outcome.stats.trained_models =
-      computed_trains_.load(std::memory_order_relaxed) - computed_trains0 +
-      uncached_trainings.load();
-  outcome.stats.craft_cache_hits = craft_cache_.hits() - craft_hits0;
-  outcome.stats.crafted_sets =
-      computed_crafts_.load(std::memory_order_relaxed) - computed_crafts0;
-  outcome.stats.store_model_hits =
-      store_model_hits_.load(std::memory_order_relaxed) - store_model_hits0;
-  outcome.stats.store_craft_hits =
-      store_craft_hits_.load(std::memory_order_relaxed) - store_craft_hits0;
+  const TierCounts models = store_->model_counts();
+  const TierCounts crafts = store_->craft_counts();
+  outcome.stats.trained_models = models.computed - models0.computed;
+  outcome.stats.train_cache_hits = models.memory_hits - models0.memory_hits;
+  outcome.stats.store_model_hits = models.disk_hits - models0.disk_hits;
+  outcome.stats.crafted_sets = crafts.computed - crafts0.computed;
+  outcome.stats.craft_cache_hits = crafts.memory_hits - crafts0.memory_hits;
+  outcome.stats.store_craft_hits = crafts.disk_hits - crafts0.disk_hits;
   outcome.stats.gated_units = gated_units.load();
   outcome.stats.replayed_units = replayed_units.load();
   outcome.stats.faulted_evals = faulted_evals.load();
-  outcome.stats.corrupt_entries =
-      store_ != nullptr ? store_->artifacts().corrupt_entries() : 0;
+  outcome.stats.corrupt_entries = store_->artifacts().corrupt_entries();
 
   // Fold this run's fresh computations into the grid's cumulative journal
   // totals, so a merged shard run (or a warm rerun) reports the same
   // trained/crafted counters as the single-process cold run. Exact when
   // shards of one grid run sequentially (the CI recipe); concurrent shards
-  // keep correct cells but may under-count the shared totals.
-  if (store_ != nullptr) {
-    GridTotals totals = store_->LoadTotals(grid_key);
-    totals.trained_models += outcome.stats.trained_models;
-    totals.crafted_sets += outcome.stats.crafted_sets;
-    store_->SaveTotals(grid_key, totals);
-    outcome.stats.total_trained_models = totals.trained_models;
-    outcome.stats.total_crafted_sets = totals.crafted_sets;
-  } else {
-    outcome.stats.total_trained_models = outcome.stats.trained_models;
-    outcome.stats.total_crafted_sets = outcome.stats.crafted_sets;
-  }
+  // keep correct cells but may under-count the shared totals. A
+  // memory-only store reads zeros and keeps nothing.
+  GridTotals totals = store_->LoadTotals(grid_key);
+  totals.trained_models += outcome.stats.trained_models;
+  totals.crafted_sets += outcome.stats.crafted_sets;
+  store_->SaveTotals(grid_key, totals);
+  outcome.stats.total_trained_models = totals.trained_models;
+  outcome.stats.total_crafted_sets = totals.crafted_sets;
   return outcome;
 }
 
-// ---------------------------------------------------------------------------
-// DvsScenarioEngine
-// ---------------------------------------------------------------------------
-
-DvsScenarioEngine::DvsScenarioEngine(const core::DvsWorkbench& bench)
-    : bench_(bench) {
-  train_fn_ = [this](float vth) { return bench_.Train(vth); };
-  craft_fn_ = [this](const TrainedModel& model, const AttackSpec& attack) {
-    return bench_.Craft(model, attack.name, attack.params);
-  };
-}
-
-void DvsScenarioEngine::set_train_fn(TrainFn fn) {
-  AXSNN_CHECK(fn != nullptr, "train hook must be callable");
-  train_fn_ = std::move(fn);
-}
-
-void DvsScenarioEngine::set_craft_fn(CraftFn fn) {
-  AXSNN_CHECK(fn != nullptr, "craft hook must be callable");
-  craft_fn_ = std::move(fn);
-}
-
-const DvsScenarioEngine::TrainedModel& DvsScenarioEngine::TrainCached(
-    float vth) {
-  return model_cache_.GetOrTrain(
-      vth, bench_.options().time_bins, bench_.options().seed, [&] {
-        if (store_ != nullptr) {
-          TrainedModel from_disk;
-          if (store_->LoadModel(vth, from_disk)) {
-            store_model_hits_.fetch_add(1, std::memory_order_relaxed);
-            return from_disk;
-          }
-        }
-        TrainedModel fresh = train_fn_(vth);
-        computed_trains_.fetch_add(1, std::memory_order_relaxed);
-        if (store_ != nullptr) store_->SaveModel(fresh);
-        return fresh;
-      });
-}
-
-void DvsScenarioEngine::ClearCraftCache() { craft_cache_.Clear(); }
-
-ScenarioOutcome DvsScenarioEngine::Run(const ScenarioGrid& grid) {
-  return Run(grid, RunOptions{});
-}
-
-ScenarioOutcome DvsScenarioEngine::Run(const ScenarioGrid& grid,
-                                       const RunOptions& options) {
-  ValidateScenarioGrid(grid, /*for_events=*/true);
-  ValidateRunOptions(options, store_);
-
-  ScenarioOutcome outcome;
-  outcome.grid = grid;
-  outcome.cells =
-      ExpandScenarioGrid(grid, /*time_override=*/bench_.options().time_bins);
-  const std::size_t cell_count = outcome.cells.size();
-  outcome.robustness_pct.assign(cell_count,
-                                std::numeric_limits<float>::quiet_NaN());
-  outcome.train_accuracy_pct.assign(cell_count, 0.0f);
-  outcome.evaluated.assign(cell_count, 0);
-
-  const auto run_start = Clock::now();
-  const long train_hits0 = model_cache_.hits();
-  const long craft_hits0 = craft_cache_.hits();
-  const long computed_trains0 =
-      computed_trains_.load(std::memory_order_relaxed);
-  const long computed_crafts0 =
-      computed_crafts_.load(std::memory_order_relaxed);
-  const long store_model_hits0 =
-      store_model_hits_.load(std::memory_order_relaxed);
-  const long store_craft_hits0 =
-      store_craft_hits_.load(std::memory_order_relaxed);
-  std::atomic<long> uncached_trainings{0};
-  std::atomic<long> gated_units{0};
-  std::atomic<long> replayed_units{0};
-  std::atomic<long> faulted_evals{0};
-
-  const std::vector<core::VariantSpec> variants = VariantBlock(grid);
-  const std::size_t fault_count = grid.faults.size();
-  const std::size_t block =
-      grid.aqfs.size() * variants.size() * fault_count;
-  const long vth_count = static_cast<long>(grid.v_thresholds.size());
-  const long attack_count = static_cast<long>(grid.attacks.size());
-  const long unit_count = vth_count * attack_count;
-
-  const std::string grid_key =
-      store_ != nullptr ? store_->GridKey(grid) : std::string();
-  std::vector<UnitPlan> plan(static_cast<std::size_t>(unit_count),
-                             UnitPlan::kCompute);
-  std::vector<UnitRecord> replay(static_cast<std::size_t>(unit_count));
-  for (long unit = 0; unit < unit_count; ++unit) {
-    if (options.shard.has_value() && !options.shard->Owns(unit)) {
-      plan[static_cast<std::size_t>(unit)] = UnitPlan::kSkip;
-      continue;
-    }
-    if (!options.resume) continue;
-    UnitRecord record;
-    if (store_->LoadUnit(grid_key, unit, record) &&
-        (record.gated || record.robustness.size() == block)) {
-      plan[static_cast<std::size_t>(unit)] = UnitPlan::kReplay;
-      replay[static_cast<std::size_t>(unit)] = std::move(record);
-    }
-  }
-
-  if (cache_enabled_) {
-    std::vector<long> needed_vths;
-    std::vector<char> vth_needed(static_cast<std::size_t>(vth_count), 0);
-    for (long unit = 0; unit < unit_count; ++unit) {
-      if (plan[static_cast<std::size_t>(unit)] != UnitPlan::kCompute) continue;
-      const long iv = unit / attack_count;
-      if (!vth_needed[static_cast<std::size_t>(iv)]) {
-        vth_needed[static_cast<std::size_t>(iv)] = 1;
-        needed_vths.push_back(iv);
-      }
-    }
-    runtime::ParallelFor(
-        0, static_cast<long>(needed_vths.size()),
-        [&](long i) {
-          (void)TrainCached(grid.v_thresholds[static_cast<std::size_t>(
-              needed_vths[static_cast<std::size_t>(i)])]);
-        },
-        /*grain=*/1);
-  }
-  outcome.stats.train_seconds = SecondsSince(run_start);
-
-  // Phase 2: one unit per (vth, attack); AQF slices evaluate inside the
-  // unit (filter + binning are shared per slice by EvaluateVariants).
-  const auto sweep_start = Clock::now();
-
-  runtime::ParallelFor(
-      0, unit_count,
-      [&](long unit) {
-        if (plan[static_cast<std::size_t>(unit)] == UnitPlan::kSkip) return;
-
-        const std::size_t ia = static_cast<std::size_t>(unit % attack_count);
-        const std::size_t iv = static_cast<std::size_t>(unit / attack_count);
-        const std::size_t base = grid.Index(iv, 0, ia, 0, 0, 0, 0, 0);
-
-        if (plan[static_cast<std::size_t>(unit)] == UnitPlan::kReplay) {
-          ApplyReplay(replay[static_cast<std::size_t>(unit)], base, block,
-                      outcome);
-          replayed_units.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-
-        const float vth = grid.v_thresholds[iv];
-        const AttackSpec& attack = grid.attacks[ia];
-
-        TrainedModel local;
-        const TrainedModel* model = nullptr;
-        if (cache_enabled_) {
-          model = &TrainCached(vth);
-        } else {
-          local = train_fn_(vth);
-          uncached_trainings.fetch_add(1, std::memory_order_relaxed);
-          model = &local;
-        }
-
-        for (std::size_t i = 0; i < block; ++i)
-          outcome.train_accuracy_pct[base + i] = model->train_accuracy_pct;
-
-        if (grid.min_train_accuracy_pct.has_value() &&
-            model->train_accuracy_pct < *grid.min_train_accuracy_pct) {
-          gated_units.fetch_add(1, std::memory_order_relaxed);
-          if (store_ != nullptr) {
-            UnitRecord record;
-            record.gated = true;
-            record.train_accuracy_pct = model->train_accuracy_pct;
-            store_->SaveUnit(grid_key, unit, record);
-          }
-          return;
-        }
-
-        const data::EventDataset& adversarial = craft_cache_.GetOrCompute(
-            CraftKey(vth, bench_.options().time_bins, attack, /*epsilon=*/0.0),
-            [&] {
-              if (store_ != nullptr) {
-                data::EventDataset from_disk;
-                if (store_->LoadCraft(*model, attack, from_disk)) {
-                  store_craft_hits_.fetch_add(1, std::memory_order_relaxed);
-                  return from_disk;
-                }
-              }
-              data::EventDataset fresh = craft_fn_(*model, attack);
-              computed_crafts_.fetch_add(1, std::memory_order_relaxed);
-              if (store_ != nullptr) store_->SaveCraft(*model, attack, fresh);
-              return fresh;
-            });
-
-        // Same split as the static engine: fault-free units keep the
-        // shared-binning EvaluateVariants call per AQF slice; fault units
-        // corrupt a clone per (variant, fault) pair. AccuracyPct falls
-        // back to the dense path for hooked (activation-fault) clones.
-        const faults::FaultSpec attack_fault = AttackFault(attack);
-        for (std::size_t iq = 0; iq < grid.aqfs.size(); ++iq) {
-          std::vector<float> robustness;
-          if (FaultFreeUnit(grid, attack_fault)) {
-            robustness = bench_.EvaluateVariants(*model, adversarial,
-                                                 grid.aqfs[iq], variants);
-          } else {
-            robustness.assign(variants.size() * fault_count, 0.0f);
-            runtime::ParallelFor(
-                0, static_cast<long>(robustness.size()),
-                [&](long j) {
-                  const std::size_t ifl =
-                      static_cast<std::size_t>(j) % fault_count;
-                  const std::size_t ivr =
-                      static_cast<std::size_t>(j) / fault_count;
-                  const core::VariantSpec& vspec = variants[ivr];
-                  snn::Network ax = bench_.MakeAx(*model, vspec);
-                  bool faulted = false;
-                  if (!attack_fault.is_none()) {
-                    faults::ApplyFault(ax, attack_fault, vspec.precision);
-                    faulted = true;
-                  }
-                  const faults::FaultSpec& axis_fault = grid.faults[ifl];
-                  if (!axis_fault.is_none()) {
-                    faults::ApplyFault(ax, axis_fault, vspec.precision);
-                    faulted = true;
-                  }
-                  if (faulted)
-                    faulted_evals.fetch_add(1, std::memory_order_relaxed);
-                  robustness[static_cast<std::size_t>(j)] = bench_.AccuracyPct(
-                      ax, adversarial, grid.aqfs[iq]);
-                },
-                /*grain=*/1);
-          }
-          const std::size_t slice = base + iq * robustness.size();
-          for (std::size_t i = 0; i < robustness.size(); ++i) {
-            outcome.robustness_pct[slice + i] = robustness[i];
-            outcome.evaluated[slice + i] = 1;
-          }
-        }
-
-        if (store_ != nullptr) {
-          UnitRecord record;
-          record.train_accuracy_pct = model->train_accuracy_pct;
-          record.robustness.assign(
-              outcome.robustness_pct.begin() + static_cast<long>(base),
-              outcome.robustness_pct.begin() + static_cast<long>(base + block));
-          store_->SaveUnit(grid_key, unit, record);
-        }
-      },
-      /*grain=*/1);
-
-  outcome.stats.sweep_seconds = SecondsSince(sweep_start);
-  outcome.stats.wall_seconds = SecondsSince(run_start);
-  outcome.stats.train_cache_hits = model_cache_.hits() - train_hits0;
-  outcome.stats.trained_models =
-      computed_trains_.load(std::memory_order_relaxed) - computed_trains0 +
-      uncached_trainings.load();
-  outcome.stats.craft_cache_hits = craft_cache_.hits() - craft_hits0;
-  outcome.stats.crafted_sets =
-      computed_crafts_.load(std::memory_order_relaxed) - computed_crafts0;
-  outcome.stats.store_model_hits =
-      store_model_hits_.load(std::memory_order_relaxed) - store_model_hits0;
-  outcome.stats.store_craft_hits =
-      store_craft_hits_.load(std::memory_order_relaxed) - store_craft_hits0;
-  outcome.stats.gated_units = gated_units.load();
-  outcome.stats.replayed_units = replayed_units.load();
-  outcome.stats.faulted_evals = faulted_evals.load();
-  outcome.stats.corrupt_entries =
-      store_ != nullptr ? store_->artifacts().corrupt_entries() : 0;
-
-  if (store_ != nullptr) {
-    GridTotals totals = store_->LoadTotals(grid_key);
-    totals.trained_models += outcome.stats.trained_models;
-    totals.crafted_sets += outcome.stats.crafted_sets;
-    store_->SaveTotals(grid_key, totals);
-    outcome.stats.total_trained_models = totals.trained_models;
-    outcome.stats.total_crafted_sets = totals.crafted_sets;
-  } else {
-    outcome.stats.total_trained_models = outcome.stats.trained_models;
-    outcome.stats.total_crafted_sets = outcome.stats.crafted_sets;
-  }
-  return outcome;
-}
+template class ScenarioEngine<core::StaticWorkbench>;
+template class ScenarioEngine<core::DvsWorkbench>;
 
 }  // namespace axsnn::scenario

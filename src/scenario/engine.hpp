@@ -1,46 +1,41 @@
 // Scenario engine: executes a declarative ScenarioGrid on a workbench.
 //
-// The engine turns a grid into work units — one (structural cell, attack,
-// epsilon) triple per unit — and runs them on the global runtime pool with
-// grain 1, exactly like the hand-rolled sweep loops it replaces. Two caches
-// make shared grids cheap:
+// One ScenarioEngine<Bench> runs Algorithm 1's loop for both workbenches:
+// the grid becomes work units — one (structural cell, attack, epsilon)
+// triple per unit — run on the global runtime pool with grain 1, exactly
+// like the hand-rolled sweep loops it replaces. Phase 1 trains every
+// structural cell a unit still needs, cells in parallel; phase 2 crafts
+// once per unit and fans the unit's variant block out. The AQF axis only
+// filters event streams, so a DVS unit evaluates one block per AQF entry.
 //
-//   * a trained-model cache (model_cache.hpp) keyed (vth, T, seed): grids —
-//     and successive Run calls on one engine — sharing a structural cell
-//     never retrain it;
-//   * a crafted-dataset cache keyed (structural cell, attack label,
-//     epsilon): successive grids reusing an attack (Table II's operating
-//     points, Algorithm-1 searches over the same cell) never re-craft.
-//
-// Both caches promote to a shared on-disk artifact store (store.hpp) via
-// set_store: trained models and crafted sets persist across processes, and
-// every finished work unit journals its result block, so Run(grid, options)
-// supports checkpoint/resume (replay journaled units, compute only the
-// remainder) and shard fan-out (`--shard i/N` unit partitioning; a resume
-// pass with no shard merges all journals in grid order — see shard.hpp).
+// Every trained model and crafted set goes through the engine's store
+// (store.hpp) — memory, then disk when the store has a root, then compute
+// and save — so grids and successive Run calls sharing a structural cell
+// never retrain it, and grids reusing an attack (Table II's operating
+// points, Algorithm-1 searches over the same cell) never re-craft. An
+// engine starts on its own memory-only store; set_store attaches a shared
+// on-disk one, under which every finished work unit is journaled, so
+// Run(grid, options) supports checkpoint/resume (replay journaled units,
+// compute only the remainder) and shard fan-out (`--shard i/N` unit
+// partitioning; a resume pass with no shard merges all journals in grid
+// order — see shard.hpp).
 //
 // Determinism: training, crafting and evaluation are each deterministic in
 // their seeds, every unit owns its output slots, and nested parallelism is
 // throttled to inline by the pool — so Run results are bit-identical at any
-// pool size, across cache/store hits and misses, and across any shard
-// split. Hooks (set_train_fn / set_craft_fn) let harnesses splice in custom
-// computations without touching the engine.
+// pool size, across store hits and misses, and across any shard split.
 #pragma once
 
-#include <atomic>
-#include <functional>
+#include <concepts>
 #include <string>
 #include <vector>
 
 #include "core/workbench.hpp"
-#include "scenario/model_cache.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/shard.hpp"
+#include "scenario/store.hpp"
 
 namespace axsnn::scenario {
-
-class StaticScenarioStore;
-class DvsScenarioStore;
 
 /// Execution counters of one Run call.
 struct ScenarioStats {
@@ -48,25 +43,26 @@ struct ScenarioStats {
   double train_seconds = 0.0;  ///< phase 1 (structural-cell training)
   double sweep_seconds = 0.0;  ///< phase 2 (craft + variant evaluation)
   long trained_models = 0;     ///< fresh training computations this call
-  long train_cache_hits = 0;   ///< in-memory model-cache hits
+  long train_cache_hits = 0;   ///< models served by the store's memory tier
   long crafted_sets = 0;       ///< fresh craft computations this call
-  long craft_cache_hits = 0;   ///< in-memory craft-cache hits
+  long craft_cache_hits = 0;   ///< crafts served by the store's memory tier
   long gated_units = 0;        ///< units skipped by min_train_accuracy_pct
   /// Evaluations that ran on a corrupted clone (fault axis entries and
   /// corrupts_model() attacks — src/faults/). Zero on fault-free grids.
   long faulted_evals = 0;
-  // Distributed-execution counters (zero without an attached store):
+  // Distributed-execution counters (zero on a memory-only store):
   long store_model_hits = 0;   ///< trained models deserialized from disk
   long store_craft_hits = 0;   ///< crafted sets deserialized from disk
   long replayed_units = 0;     ///< journaled units replayed (resume)
   /// Cumulative fresh computations across every run/shard that touched this
-  /// grid's store journal. Without a store these equal trained_models /
-  /// crafted_sets, so single-process reports are unchanged — and a merged
-  /// shard run reports the same totals as the single-process run.
+  /// grid's store journal. On a memory-only store these equal
+  /// trained_models / crafted_sets, so single-process reports are unchanged
+  /// — and a merged shard run reports the same totals as the
+  /// single-process run.
   long total_trained_models = 0;
   long total_crafted_sets = 0;
-  /// Corrupted artifact envelopes the attached store has detected (and
-  /// treated as recompute misses) over its lifetime; zero without a store.
+  /// Corrupted artifact envelopes the store has detected (and treated as
+  /// recompute misses) over its lifetime; zero on a memory-only store.
   /// CI asserts 0 on clean-cache runs.
   long corrupt_entries = 0;
 };
@@ -103,115 +99,53 @@ struct ScenarioOutcome {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Static-dataset engine
-// ---------------------------------------------------------------------------
-
-class StaticScenarioEngine {
+/// Engine over one workbench: core::StaticWorkbench or core::DvsWorkbench,
+/// the two instantiations in engine.cpp. The DVS engine requires
+/// single-entry time_steps / epsilons axes and resolves every cell's T to
+/// the workbench binning.
+template <typename Bench>
+class ScenarioEngine {
  public:
-  using TrainedModel = core::StaticWorkbench::TrainedModel;
-  using TrainFn = std::function<TrainedModel(float vth, long time_steps)>;
-  using CraftFn = std::function<Tensor(
-      const TrainedModel& model, const AttackSpec& attack, float epsilon)>;
+  using TrainedModel = typename Bench::TrainedModel;
+  using Store = ScenarioStore<Bench>;
 
-  explicit StaticScenarioEngine(const core::StaticWorkbench& bench);
+  explicit ScenarioEngine(const Bench& bench);
 
-  /// Replaces how structural cells train / attacks craft (default:
-  /// bench.Train / registry-dispatched bench.Craft). Harness hook for
-  /// custom computations; the store (set_store) wraps whatever is
-  /// installed here.
-  void set_train_fn(TrainFn fn);
-  void set_craft_fn(CraftFn fn);
-
-  /// Attaches a persistent on-disk store (borrowed; must outlive the
-  /// engine's runs; nullptr detaches). Models and crafted sets then
-  /// load-or-compute-and-save through it, and Run journals every finished
-  /// work unit for checkpoint/resume and shard merging.
-  void set_store(StaticScenarioStore* store) { store_ = store; }
-
-  /// Disables the in-memory trained-model cache (every unit retrains) —
-  /// the with/without comparison bench_micro_runtime records. On by
-  /// default. The store is not consulted on the uncached path.
-  void set_model_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
+  /// Attaches a store (borrowed; must outlive the engine's runs) for models,
+  /// crafts and the unit journal; nullptr re-attaches the engine's own
+  /// memory-only store.
+  void set_store(Store* store) {
+    store_ = store != nullptr ? store : &own_store_;
+  }
+  /// The attached store (the engine's own one until set_store).
+  Store& store() { return *store_; }
 
   /// Trains (or fetches) the model of one structural cell through the
-  /// cache — the Algorithm-1 serial path shares models with grids this way.
-  /// Consults the attached store before computing.
-  const TrainedModel& TrainCached(float vth, long time_steps);
+  /// store — the Algorithm-1 serial path shares models with grids this way.
+  const TrainedModel& TrainCached(float vth, long time_steps)
+    requires std::same_as<Bench, core::StaticWorkbench>;
+  /// DVS models train at the workbench binning.
+  const TrainedModel& TrainCached(float vth)
+    requires std::same_as<Bench, core::DvsWorkbench>;
 
   /// Executes the grid. Validates first (throws std::invalid_argument on
-  /// unknown attacks/params or axis misuse).
-  ScenarioOutcome Run(const ScenarioGrid& grid);
+  /// unknown attacks/params or axis misuse). `options.resume` requires a
+  /// store with a root; units outside `options.shard` stay unevaluated
+  /// unless replayed from the journal.
+  ScenarioOutcome Run(const ScenarioGrid& grid,
+                      const RunOptions& options = {});
 
-  /// Executes the grid with shard/resume options (shard.hpp). `resume`
-  /// requires an attached store; units outside `options.shard` stay
-  /// unevaluated unless replayed from the journal.
-  ScenarioOutcome Run(const ScenarioGrid& grid, const RunOptions& options);
-
-  StaticModelCache& model_cache() { return model_cache_; }
-  const core::StaticWorkbench& bench() const { return bench_; }
-
-  /// Drops cached crafted datasets (models stay; use model_cache().Clear()
-  /// for those).
-  void ClearCraftCache();
+  const Bench& bench() const { return bench_; }
 
  private:
-  const core::StaticWorkbench& bench_;
-  TrainFn train_fn_;
-  CraftFn craft_fn_;
-  bool cache_enabled_ = true;
-  StaticScenarioStore* store_ = nullptr;
-  StaticModelCache model_cache_;
-  detail::CacheTable<std::string, Tensor> craft_cache_;
-  // Engine-cumulative counters (Run reports per-call diffs): fresh
-  // train_fn_/craft_fn_ invocations and store deserializations.
-  std::atomic<long> computed_trains_{0};
-  std::atomic<long> computed_crafts_{0};
-  std::atomic<long> store_model_hits_{0};
-  std::atomic<long> store_craft_hits_{0};
+  const TrainedModel& Model(float vth, long time_steps);
+
+  const Bench& bench_;
+  Store own_store_;
+  Store* store_ = &own_store_;
 };
 
-// ---------------------------------------------------------------------------
-// Neuromorphic engine
-// ---------------------------------------------------------------------------
-
-class DvsScenarioEngine {
- public:
-  using TrainedModel = core::DvsWorkbench::TrainedModel;
-  using TrainFn = std::function<TrainedModel(float vth)>;
-  using CraftFn = std::function<data::EventDataset(const TrainedModel& model,
-                                                   const AttackSpec& attack)>;
-
-  explicit DvsScenarioEngine(const core::DvsWorkbench& bench);
-
-  void set_train_fn(TrainFn fn);
-  void set_craft_fn(CraftFn fn);
-  void set_store(DvsScenarioStore* store) { store_ = store; }
-  void set_model_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
-  const TrainedModel& TrainCached(float vth);
-
-  /// Executes the grid (time_steps / epsilons must be single-entry; every
-  /// cell resolves T to the workbench binning).
-  ScenarioOutcome Run(const ScenarioGrid& grid);
-  ScenarioOutcome Run(const ScenarioGrid& grid, const RunOptions& options);
-
-  DvsModelCache& model_cache() { return model_cache_; }
-  const core::DvsWorkbench& bench() const { return bench_; }
-  void ClearCraftCache();
-
- private:
-  const core::DvsWorkbench& bench_;
-  TrainFn train_fn_;
-  CraftFn craft_fn_;
-  bool cache_enabled_ = true;
-  DvsScenarioStore* store_ = nullptr;
-  DvsModelCache model_cache_;
-  detail::CacheTable<std::string, data::EventDataset> craft_cache_;
-  std::atomic<long> computed_trains_{0};
-  std::atomic<long> computed_crafts_{0};
-  std::atomic<long> store_model_hits_{0};
-  std::atomic<long> store_craft_hits_{0};
-};
+using StaticScenarioEngine = ScenarioEngine<core::StaticWorkbench>;
+using DvsScenarioEngine = ScenarioEngine<core::DvsWorkbench>;
 
 }  // namespace axsnn::scenario

@@ -33,21 +33,22 @@ struct ShardSpec {
 /// anything else — "2/4abc", "0/0", "4/4", "-1/2", "1/2/3", "" all reject.
 std::optional<ShardSpec> ParseShardSpec(const std::string& text);
 
-/// Per-Run execution options for Static/DvsScenarioEngine::Run.
+/// Per-Run execution options for ScenarioEngine::Run.
 struct RunOptions {
   /// When set, only units owned by this shard compute; foreign units stay
   /// unevaluated (NaN robustness) unless replayed via `resume`.
   std::optional<ShardSpec> shard;
   /// Replay units already journaled in the attached store (set_store)
-  /// instead of recomputing them. Requires a store. A resume pass with no
-  /// shard is the merge step: it folds every shard's journal in grid order.
+  /// instead of recomputing them. Requires a store with a root. A resume
+  /// pass with no shard is the merge step: it folds every shard's journal
+  /// in grid order.
   bool resume = false;
 };
 
 /// Driver-facing argv bundle for the fig/table harnesses.
 struct ShardRunnerOptions {
   std::optional<ShardSpec> shard;
-  std::string cache_dir;  ///< empty: driver default (possibly no store)
+  std::string cache_dir;  ///< empty: driver default (possibly memory-only)
   bool resume = false;
   std::string stats_out;  ///< empty: no machine-readable stats file
 

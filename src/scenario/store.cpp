@@ -12,7 +12,6 @@
 
 #include "data/event_io.hpp"
 #include "snn/lif_layer.hpp"
-#include "tensor/check.hpp"
 #include "tensor/serialize.hpp"
 
 namespace axsnn::scenario {
@@ -153,7 +152,7 @@ void HashEventDataset(Fnv64& h, const data::EventDataset& ds) {
   }
 }
 
-std::uint64_t FingerprintStatic(const core::StaticWorkbench& bench) {
+std::uint64_t Fingerprint(const core::StaticWorkbench& bench) {
   Fnv64 h;
   h.Str("axsnn-static-workbench-v1");
   const core::StaticWorkbench::Options& o = bench.options();
@@ -182,7 +181,7 @@ std::uint64_t FingerprintStatic(const core::StaticWorkbench& bench) {
   return h.value();
 }
 
-std::uint64_t FingerprintDvs(const core::DvsWorkbench& bench) {
+std::uint64_t Fingerprint(const core::DvsWorkbench& bench) {
   Fnv64 h;
   h.Str("axsnn-dvs-workbench-v1");
   const core::DvsWorkbench::Options& o = bench.options();
@@ -351,6 +350,92 @@ void RestoreModelMeta(const std::map<std::string, Tensor>& state,
   }
 }
 
+// --- what differs per workbench ---------------------------------------------
+
+const char* Family(const core::StaticWorkbench&) { return "static"; }
+const char* Family(const core::DvsWorkbench&) { return "dvs"; }
+
+std::uint32_t ModelKind(const core::StaticWorkbench&) {
+  return kArtifactStaticModel;
+}
+std::uint32_t ModelKind(const core::DvsWorkbench&) { return kArtifactDvsModel; }
+
+std::uint32_t CraftKind(const core::StaticWorkbench&) {
+  return kArtifactCraftTensor;
+}
+std::uint32_t CraftKind(const core::DvsWorkbench&) {
+  return kArtifactCraftEvents;
+}
+
+/// Static crafts key their exact budget; event attacks have none.
+std::string EpsilonSuffix(const core::StaticWorkbench&, double epsilon) {
+  return "_e" + Hex(DoubleBits(epsilon));
+}
+std::string EpsilonSuffix(const core::DvsWorkbench&, double) { return ""; }
+
+long ModelTime(const core::StaticWorkbench::TrainedModel& model) {
+  return model.time_steps;
+}
+long ModelTime(const core::DvsWorkbench::TrainedModel& model) {
+  return model.time_bins;
+}
+
+/// The untrained net a persisted state dict loads into, plus the model's T.
+void RebuildModel(const core::StaticWorkbench& bench, float vth,
+                  long time_steps, core::StaticWorkbench::TrainedModel& out) {
+  snn::StaticNetOptions net_opts = bench.options().net;
+  net_opts.lif.v_threshold = vth;
+  out.net = snn::BuildStaticNet(net_opts);
+  out.time_steps = time_steps;
+}
+void RebuildModel(const core::DvsWorkbench& bench, float vth, long time_bins,
+                  core::DvsWorkbench::TrainedModel& out) {
+  snn::DvsNetOptions net_opts = bench.options().net;
+  net_opts.lif.v_threshold = vth;
+  net_opts.height = bench.train_set().height;
+  net_opts.width = bench.train_set().width;
+  out.net = snn::BuildDvsNet(net_opts);
+  out.time_bins = time_bins;
+}
+
+void WriteCraft(std::ostream& os, const Tensor& images) {
+  WriteTensor(os, images);
+}
+void WriteCraft(std::ostream& os, const data::EventDataset& streams) {
+  data::WriteEventDataset(os, streams);
+}
+void ReadCraft(std::istream& is, Tensor& out) { out = ReadTensor(is); }
+void ReadCraft(std::istream& is, data::EventDataset& out) {
+  out = data::ReadEventDataset(is);
+}
+
+/// The memory -> disk -> compute lookup behind FetchModel / FetchCraft.
+/// Disk I/O and compute run outside the lock, so misses on different keys
+/// proceed in parallel; a lost same-key race keeps the first entry.
+template <typename T, typename Load, typename Compute>
+const T& Fetch(std::mutex& mu,
+               std::map<std::string, std::unique_ptr<T>>& memory,
+               TierCounts& counts, const std::string& key, Load&& load,
+               Compute&& compute) {
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = memory.find(key);
+    if (it != memory.end()) {
+      ++counts.memory_hits;
+      return *it->second;
+    }
+  }
+  T value;
+  const bool from_disk = load(value);
+  if (!from_disk) value = compute();
+  std::lock_guard<std::mutex> lock(mu);
+  ++(from_disk ? counts.disk_hits : counts.computed);
+  // The entry is allocated only after compute has freed its temporaries: a
+  // long-lived entry allocated first pins the top of the allocator's heap.
+  return *memory.emplace(key, std::make_unique<T>(std::move(value)))
+              .first->second;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -358,8 +443,7 @@ void RestoreModelMeta(const std::map<std::string, Tensor>& state,
 // ---------------------------------------------------------------------------
 
 ArtifactStore::ArtifactStore(std::string root) : root_(std::move(root)) {
-  AXSNN_CHECK(!root_.empty(), "artifact store root must be non-empty");
-  std::filesystem::create_directories(root_);
+  if (persistent()) std::filesystem::create_directories(root_);
 }
 
 std::string ArtifactStore::PathFor(const std::string& key) const {
@@ -368,6 +452,7 @@ std::string ArtifactStore::PathFor(const std::string& key) const {
 
 void ArtifactStore::Put(const std::string& key, std::uint32_t kind,
                         const std::function<void(std::ostream&)>& write) {
+  if (!persistent()) return;
   std::ostringstream payload_os(std::ios::binary);
   write(payload_os);
   const std::string payload = payload_os.str();
@@ -413,6 +498,7 @@ void ArtifactStore::Put(const std::string& key, std::uint32_t kind,
 
 bool ArtifactStore::Get(const std::string& key, std::uint32_t kind,
                         const std::function<void(std::istream&)>& read) const {
+  if (!persistent()) return false;
   std::ifstream is(PathFor(key), std::ios::binary);
   if (!is) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -437,16 +523,18 @@ bool ArtifactStore::Get(const std::string& key, std::uint32_t kind,
       throw std::runtime_error("axsnn: unsupported store envelope version");
     if (stored_kind != kind)
       throw std::runtime_error("axsnn: store entry kind mismatch");
-    if (size > (1ull << 40))
-      throw std::runtime_error("axsnn: implausible store payload size");
+    // The claimed size must match the bytes left in the file before
+    // anything is allocated: a corrupt header never drives an allocation.
+    const std::streamoff payload_start = is.tellg();
+    is.seekg(0, std::ios::end);
+    const std::streamoff left = is.tellg() - payload_start;
+    if (payload_start < 0 || left < 0 ||
+        static_cast<std::uint64_t>(left) != size)
+      throw std::runtime_error("axsnn: store payload size disagrees with file");
+    is.seekg(payload_start);
     std::string payload(static_cast<std::size_t>(size), '\0');
-    if (size > 0) {
-      is.read(payload.data(), static_cast<std::streamsize>(size));
-      if (!is)
-        throw std::runtime_error("axsnn: truncated store payload");
-    }
-    if (is.peek() != std::char_traits<char>::eof())
-      throw std::runtime_error("axsnn: trailing bytes after store payload");
+    is.read(payload.data(), static_cast<std::streamsize>(size));
+    if (!is) throw std::runtime_error("axsnn: truncated store payload");
     if (FnvOfBytes(payload) != digest)
       throw std::runtime_error("axsnn: store payload checksum mismatch");
     std::istringstream payload_is(payload, std::ios::binary);
@@ -462,189 +550,148 @@ bool ArtifactStore::Get(const std::string& key, std::uint32_t kind,
 }
 
 // ---------------------------------------------------------------------------
-// StaticScenarioStore
+// ScenarioStore
 // ---------------------------------------------------------------------------
 
-StaticScenarioStore::StaticScenarioStore(std::string root,
-                                         const core::StaticWorkbench& bench)
+template <typename Bench>
+ScenarioStore<Bench>::ScenarioStore(std::string root, const Bench& bench)
     : store_(std::move(root)),
       bench_(bench),
-      fingerprint_(FingerprintStatic(bench)) {}
+      fingerprint_(store_.persistent() ? Fingerprint(bench) : 0) {}
 
-std::string StaticScenarioStore::ModelKey(float vth, long time_steps) const {
+template <typename Bench>
+std::string ScenarioStore<Bench>::ModelKey(float vth, long time_steps) const {
   std::ostringstream os;
   os << "m_" << Hex(fingerprint_) << "_v" << Hex(FloatBits(vth)) << "_t"
      << time_steps;
   return os.str();
 }
 
-std::string StaticScenarioStore::CraftKey(float vth, long time_steps,
-                                          const AttackSpec& attack,
-                                          double epsilon) const {
+template <typename Bench>
+std::string ScenarioStore<Bench>::CraftKey(float vth, long time_steps,
+                                           const AttackSpec& attack,
+                                           double epsilon) const {
   Fnv64 label;
   label.Str(attack.Label());
-  std::ostringstream os;
-  os << ModelKey(vth, time_steps) << "_a" << Hex(label.value()) << "_e"
-     << Hex(DoubleBits(epsilon));
-  return os.str();
+  return ModelKey(vth, time_steps) + "_a" + Hex(label.value()) +
+         EpsilonSuffix(bench_, epsilon);
 }
 
-std::string StaticScenarioStore::GridKey(const ScenarioGrid& grid) const {
-  return "g_" + Hex(GridDigest(fingerprint_, "static", grid));
+template <typename Bench>
+std::string ScenarioStore<Bench>::GridKey(const ScenarioGrid& grid) const {
+  return "g_" + Hex(GridDigest(fingerprint_, Family(bench_), grid));
 }
 
-bool StaticScenarioStore::LoadModel(float vth, long time_steps,
-                                    TrainedModel& out) const {
+template <typename Bench>
+const typename Bench::TrainedModel& ScenarioStore<Bench>::FetchModel(
+    float vth, long time_steps, const std::function<TrainedModel()>& train) {
+  return Fetch(
+      mu_, models_, model_counts_, ModelKey(vth, time_steps),
+      [&](TrainedModel& out) { return LoadModel(vth, time_steps, out); },
+      [&] {
+        TrainedModel fresh = train();
+        SaveModel(fresh);
+        return fresh;
+      });
+}
+
+template <typename Bench>
+const typename Bench::AdversarialSet& ScenarioStore<Bench>::FetchCraft(
+    const TrainedModel& model, const AttackSpec& attack, double epsilon,
+    const std::function<AdversarialSet()>& craft) {
+  return Fetch(
+      mu_, crafts_, craft_counts_,
+      CraftKey(model.v_threshold, ModelTime(model), attack, epsilon),
+      [&](AdversarialSet& out) {
+        return LoadCraft(model, attack, epsilon, out);
+      },
+      [&] {
+        AdversarialSet fresh = craft();
+        SaveCraft(model, attack, epsilon, fresh);
+        return fresh;
+      });
+}
+
+template <typename Bench>
+TierCounts ScenarioStore<Bench>::model_counts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return model_counts_;
+}
+
+template <typename Bench>
+TierCounts ScenarioStore<Bench>::craft_counts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return craft_counts_;
+}
+
+template <typename Bench>
+bool ScenarioStore<Bench>::LoadModel(float vth, long time_steps,
+                                     TrainedModel& out) const {
   return store_.Get(
-      ModelKey(vth, time_steps), kArtifactStaticModel, [&](std::istream& is) {
+      ModelKey(vth, time_steps), ModelKind(bench_), [&](std::istream& is) {
         const std::map<std::string, Tensor> state = ReadTensorMap(is);
-        snn::StaticNetOptions net_opts = bench_.options().net;
-        net_opts.lif.v_threshold = vth;
-        out.net = snn::BuildStaticNet(net_opts);
+        RebuildModel(bench_, vth, time_steps, out);
         out.net.LoadStateDict(state);
         out.v_threshold = vth;
-        out.time_steps = time_steps;
         RestoreModelMeta(state, out);
       });
 }
 
-void StaticScenarioStore::SaveModel(const TrainedModel& model) {
-  const std::map<std::string, Tensor> state = ModelState(model);
-  store_.Put(ModelKey(model.v_threshold, model.time_steps),
-             kArtifactStaticModel,
-             [&](std::ostream& os) { WriteTensorMap(os, state); });
+template <typename Bench>
+void ScenarioStore<Bench>::SaveModel(const TrainedModel& model) {
+  store_.Put(ModelKey(model.v_threshold, ModelTime(model)), ModelKind(bench_),
+             [&](std::ostream& os) { WriteTensorMap(os, ModelState(model)); });
 }
 
-bool StaticScenarioStore::LoadCraft(const TrainedModel& model,
-                                    const AttackSpec& attack, double epsilon,
-                                    Tensor& out) const {
+template <typename Bench>
+bool ScenarioStore<Bench>::LoadCraft(const TrainedModel& model,
+                                     const AttackSpec& attack, double epsilon,
+                                     AdversarialSet& out) const {
   return store_.Get(
-      CraftKey(model.v_threshold, model.time_steps, attack, epsilon),
-      kArtifactCraftTensor,
-      [&](std::istream& is) { out = ReadTensor(is); });
+      CraftKey(model.v_threshold, ModelTime(model), attack, epsilon),
+      CraftKind(bench_), [&](std::istream& is) { ReadCraft(is, out); });
 }
 
-void StaticScenarioStore::SaveCraft(const TrainedModel& model,
-                                    const AttackSpec& attack, double epsilon,
-                                    const Tensor& images) {
-  store_.Put(CraftKey(model.v_threshold, model.time_steps, attack, epsilon),
-             kArtifactCraftTensor,
-             [&](std::ostream& os) { WriteTensor(os, images); });
+template <typename Bench>
+void ScenarioStore<Bench>::SaveCraft(const TrainedModel& model,
+                                     const AttackSpec& attack, double epsilon,
+                                     const AdversarialSet& crafted) {
+  store_.Put(CraftKey(model.v_threshold, ModelTime(model), attack, epsilon),
+             CraftKind(bench_),
+             [&](std::ostream& os) { WriteCraft(os, crafted); });
 }
 
-bool StaticScenarioStore::LoadUnit(const std::string& grid_key, long unit,
-                                   UnitRecord& out) const {
+template <typename Bench>
+bool ScenarioStore<Bench>::LoadUnit(const std::string& grid_key, long unit,
+                                    UnitRecord& out) const {
   return store_.Get(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
                     [&](std::istream& is) { ReadUnitPayload(is, out); });
 }
 
-void StaticScenarioStore::SaveUnit(const std::string& grid_key, long unit,
-                                   const UnitRecord& record) {
+template <typename Bench>
+void ScenarioStore<Bench>::SaveUnit(const std::string& grid_key, long unit,
+                                    const UnitRecord& record) {
   store_.Put(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
              [&](std::ostream& os) { WriteUnitPayload(os, record); });
 }
 
-GridTotals StaticScenarioStore::LoadTotals(const std::string& grid_key) const {
+template <typename Bench>
+GridTotals ScenarioStore<Bench>::LoadTotals(
+    const std::string& grid_key) const {
   GridTotals totals;
   store_.Get(grid_key + "_totals", kArtifactTotals,
              [&](std::istream& is) { totals = ReadTotalsPayload(is); });
   return totals;
 }
 
-void StaticScenarioStore::SaveTotals(const std::string& grid_key,
-                                     const GridTotals& totals) {
+template <typename Bench>
+void ScenarioStore<Bench>::SaveTotals(const std::string& grid_key,
+                                      const GridTotals& totals) {
   store_.Put(grid_key + "_totals", kArtifactTotals,
              [&](std::ostream& os) { WriteTotalsPayload(os, totals); });
 }
 
-// ---------------------------------------------------------------------------
-// DvsScenarioStore
-// ---------------------------------------------------------------------------
-
-DvsScenarioStore::DvsScenarioStore(std::string root,
-                                   const core::DvsWorkbench& bench)
-    : store_(std::move(root)),
-      bench_(bench),
-      fingerprint_(FingerprintDvs(bench)) {}
-
-std::string DvsScenarioStore::ModelKey(float vth) const {
-  std::ostringstream os;
-  os << "m_" << Hex(fingerprint_) << "_v" << Hex(FloatBits(vth)) << "_t"
-     << bench_.options().time_bins;
-  return os.str();
-}
-
-std::string DvsScenarioStore::CraftKey(float vth,
-                                       const AttackSpec& attack) const {
-  Fnv64 label;
-  label.Str(attack.Label());
-  std::ostringstream os;
-  os << ModelKey(vth) << "_a" << Hex(label.value());
-  return os.str();
-}
-
-std::string DvsScenarioStore::GridKey(const ScenarioGrid& grid) const {
-  return "g_" + Hex(GridDigest(fingerprint_, "dvs", grid));
-}
-
-bool DvsScenarioStore::LoadModel(float vth, TrainedModel& out) const {
-  return store_.Get(ModelKey(vth), kArtifactDvsModel, [&](std::istream& is) {
-    const std::map<std::string, Tensor> state = ReadTensorMap(is);
-    snn::DvsNetOptions net_opts = bench_.options().net;
-    net_opts.lif.v_threshold = vth;
-    net_opts.height = bench_.train_set().height;
-    net_opts.width = bench_.train_set().width;
-    out.net = snn::BuildDvsNet(net_opts);
-    out.net.LoadStateDict(state);
-    out.v_threshold = vth;
-    out.time_bins = bench_.options().time_bins;
-    RestoreModelMeta(state, out);
-  });
-}
-
-void DvsScenarioStore::SaveModel(const TrainedModel& model) {
-  const std::map<std::string, Tensor> state = ModelState(model);
-  store_.Put(ModelKey(model.v_threshold), kArtifactDvsModel,
-             [&](std::ostream& os) { WriteTensorMap(os, state); });
-}
-
-bool DvsScenarioStore::LoadCraft(const TrainedModel& model,
-                                 const AttackSpec& attack,
-                                 data::EventDataset& out) const {
-  return store_.Get(CraftKey(model.v_threshold, attack), kArtifactCraftEvents,
-                    [&](std::istream& is) { out = data::ReadEventDataset(is); });
-}
-
-void DvsScenarioStore::SaveCraft(const TrainedModel& model,
-                                 const AttackSpec& attack,
-                                 const data::EventDataset& streams) {
-  store_.Put(CraftKey(model.v_threshold, attack), kArtifactCraftEvents,
-             [&](std::ostream& os) { data::WriteEventDataset(os, streams); });
-}
-
-bool DvsScenarioStore::LoadUnit(const std::string& grid_key, long unit,
-                                UnitRecord& out) const {
-  return store_.Get(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
-                    [&](std::istream& is) { ReadUnitPayload(is, out); });
-}
-
-void DvsScenarioStore::SaveUnit(const std::string& grid_key, long unit,
-                                const UnitRecord& record) {
-  store_.Put(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
-             [&](std::ostream& os) { WriteUnitPayload(os, record); });
-}
-
-GridTotals DvsScenarioStore::LoadTotals(const std::string& grid_key) const {
-  GridTotals totals;
-  store_.Get(grid_key + "_totals", kArtifactTotals,
-             [&](std::istream& is) { totals = ReadTotalsPayload(is); });
-  return totals;
-}
-
-void DvsScenarioStore::SaveTotals(const std::string& grid_key,
-                                  const GridTotals& totals) {
-  store_.Put(grid_key + "_totals", kArtifactTotals,
-             [&](std::ostream& os) { WriteTotalsPayload(os, totals); });
-}
+template class ScenarioStore<core::StaticWorkbench>;
+template class ScenarioStore<core::DvsWorkbench>;
 
 }  // namespace axsnn::scenario

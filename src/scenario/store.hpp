@@ -1,8 +1,7 @@
-// Content-keyed on-disk artifact store for distributed scenario execution.
+// The scenario store: the engine's only cache, in memory and on disk.
 //
-// Promotes the engines' in-memory model/craft caches (model_cache.hpp) to a
-// shared filesystem store, so reruns, resumed runs and shard processes
-// (shard.hpp) reuse each other's work:
+// One typed ScenarioStore<Bench> per workbench holds every artifact the
+// engine reuses, in two tiers keyed by the same strings:
 //
 //   * trained models    key = (workbench fingerprint, vth bits, T)
 //   * crafted datasets  key = model key + (attack-label hash, epsilon bits)
@@ -14,26 +13,35 @@
 //                       merged shard report prints the same counters as the
 //                       single-process run
 //
+// Models and crafts are looked up memory -> disk -> compute-and-save
+// (FetchModel / FetchCraft); the journal and totals live on disk only. A
+// store with an empty root is memory-only: nothing persists across
+// processes, and journal reads miss. Reruns, resumed runs and shard
+// processes (shard.hpp) reuse each other's work through a shared root.
+//
 // The workbench fingerprint hashes every option and dataset byte that
 // affects training, crafting or evaluation, so two workbenches sharing a
 // directory can never serve each other stale artifacts. (The kernel-mode
 // and event-path knobs are deliberately excluded: both are bit-identical
 // execution axes by contract, pinned by the CI matrix legs.)
 //
-// Every value is one file: a small checksummed envelope (magic, version,
-// payload kind, size, FNV-1a 64 digest) around a tensor/serialize or
-// data/event_io payload, written to a temp file and atomically renamed into
-// place — a reader never observes a half-written artifact, and concurrent
-// writers of one key settle on one winner (both wrote identical bytes; the
-// computations are deterministic). Any validation or parse failure counts
-// the entry corrupt and reads as a miss: the engine recomputes and
-// overwrites instead of crashing.
+// Every value on disk is one file: a small checksummed envelope (magic,
+// version, payload kind, size, FNV-1a 64 digest) around a tensor/serialize
+// or data/event_io payload, written to a temp file and atomically renamed
+// into place — a reader never observes a half-written artifact, and
+// concurrent writers of one key settle on one winner (both wrote identical
+// bytes; the computations are deterministic). Any validation or parse
+// failure counts the entry corrupt and reads as a miss: the engine
+// recomputes and overwrites instead of crashing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,12 +61,14 @@ inline constexpr std::uint32_t kArtifactTotals = 6;
 
 /// Generic key -> checksummed-file store. Thread-safe; keys must be
 /// filesystem-safe ([A-Za-z0-9_.-], the typed stores only emit those).
+/// An empty root means no disk: Put does nothing and Get misses without
+/// counting.
 class ArtifactStore {
  public:
   /// Creates `root` (and parents) on demand.
   explicit ArtifactStore(std::string root);
 
-  const std::string& root() const { return root_; }
+  bool persistent() const { return !root_.empty(); }
 
   /// Final on-disk path of a key (exposed for tests and tooling).
   std::string PathFor(const std::string& key) const;
@@ -106,32 +116,61 @@ struct GridTotals {
   long crafted_sets = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Typed stores
-// ---------------------------------------------------------------------------
+/// Where one artifact kind's FetchModel / FetchCraft lookups were served
+/// from, cumulative over the store's lifetime.
+struct TierCounts {
+  long memory_hits = 0;
+  long disk_hits = 0;
+  long computed = 0;
+};
 
-/// Store view for StaticWorkbench engines. Borrows the workbench (must
-/// outlive the store); the constructor fingerprints its options + datasets.
-class StaticScenarioStore {
+/// Typed store over one workbench: core::StaticWorkbench or
+/// core::DvsWorkbench, the two instantiations in store.cpp. Borrows the
+/// workbench (must outlive the store). A store with a root fingerprints the
+/// workbench's options + datasets on construction; a memory-only store
+/// serves one workbench in one process, so it skips that hash and keys with
+/// fingerprint 0. Thread-safe.
+template <typename Bench>
+class ScenarioStore {
  public:
-  using TrainedModel = core::StaticWorkbench::TrainedModel;
+  using TrainedModel = typename Bench::TrainedModel;
+  /// Adversarial images (static) or event streams (DVS).
+  using AdversarialSet = typename Bench::AdversarialSet;
 
-  StaticScenarioStore(std::string root, const core::StaticWorkbench& bench);
+  /// An empty `root` makes a memory-only store.
+  ScenarioStore(std::string root, const Bench& bench);
 
+  /// `time_steps` is the model's T — the workbench binning for DVS models.
   std::string ModelKey(float vth, long time_steps) const;
+  /// Event attacks have no budget: DVS craft keys leave `epsilon` out.
   std::string CraftKey(float vth, long time_steps, const AttackSpec& attack,
                        double epsilon) const;
   /// Deterministic digest of (fingerprint, every grid axis) — the namespace
   /// of the unit journal and totals record.
   std::string GridKey(const ScenarioGrid& grid) const;
 
+  /// Memory, then disk, then `train` (saved to disk). The reference stays
+  /// valid for the store's lifetime. Concurrent misses on one key both
+  /// compute (deterministic, so identical) and the first entry is kept.
+  const TrainedModel& FetchModel(float vth, long time_steps,
+                                 const std::function<TrainedModel()>& train);
+  /// As FetchModel, for the set `craft` builds against `model`.
+  const AdversarialSet& FetchCraft(
+      const TrainedModel& model, const AttackSpec& attack, double epsilon,
+      const std::function<AdversarialSet()>& craft);
+
+  TierCounts model_counts() const;
+  TierCounts craft_counts() const;
+
+  // Disk-only access (no memory tier, no counts above): false / no-op
+  // without a root.
   bool LoadModel(float vth, long time_steps, TrainedModel& out) const;
   void SaveModel(const TrainedModel& model);
 
   bool LoadCraft(const TrainedModel& model, const AttackSpec& attack,
-                 double epsilon, Tensor& out) const;
+                 double epsilon, AdversarialSet& out) const;
   void SaveCraft(const TrainedModel& model, const AttackSpec& attack,
-                 double epsilon, const Tensor& images);
+                 double epsilon, const AdversarialSet& crafted);
 
   bool LoadUnit(const std::string& grid_key, long unit,
                 UnitRecord& out) const;
@@ -142,52 +181,21 @@ class StaticScenarioStore {
   GridTotals LoadTotals(const std::string& grid_key) const;
   void SaveTotals(const std::string& grid_key, const GridTotals& totals);
 
-  ArtifactStore& artifacts() { return store_; }
   const ArtifactStore& artifacts() const { return store_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
   ArtifactStore store_;
-  const core::StaticWorkbench& bench_;
+  const Bench& bench_;
   std::uint64_t fingerprint_ = 0;
+  mutable std::mutex mu_;  // guards the memory tier and its counts
+  std::map<std::string, std::unique_ptr<TrainedModel>> models_;
+  std::map<std::string, std::unique_ptr<AdversarialSet>> crafts_;
+  TierCounts model_counts_;
+  TierCounts craft_counts_;
 };
 
-/// Store view for DvsWorkbench engines (crafts are event datasets; models
-/// key on the workbench binning T).
-class DvsScenarioStore {
- public:
-  using TrainedModel = core::DvsWorkbench::TrainedModel;
-
-  DvsScenarioStore(std::string root, const core::DvsWorkbench& bench);
-
-  std::string ModelKey(float vth) const;
-  std::string CraftKey(float vth, const AttackSpec& attack) const;
-  std::string GridKey(const ScenarioGrid& grid) const;
-
-  bool LoadModel(float vth, TrainedModel& out) const;
-  void SaveModel(const TrainedModel& model);
-
-  bool LoadCraft(const TrainedModel& model, const AttackSpec& attack,
-                 data::EventDataset& out) const;
-  void SaveCraft(const TrainedModel& model, const AttackSpec& attack,
-                 const data::EventDataset& streams);
-
-  bool LoadUnit(const std::string& grid_key, long unit,
-                UnitRecord& out) const;
-  void SaveUnit(const std::string& grid_key, long unit,
-                const UnitRecord& record);
-
-  GridTotals LoadTotals(const std::string& grid_key) const;
-  void SaveTotals(const std::string& grid_key, const GridTotals& totals);
-
-  ArtifactStore& artifacts() { return store_; }
-  const ArtifactStore& artifacts() const { return store_; }
-  std::uint64_t fingerprint() const { return fingerprint_; }
-
- private:
-  ArtifactStore store_;
-  const core::DvsWorkbench& bench_;
-  std::uint64_t fingerprint_ = 0;
-};
+using StaticScenarioStore = ScenarioStore<core::StaticWorkbench>;
+using DvsScenarioStore = ScenarioStore<core::DvsWorkbench>;
 
 }  // namespace axsnn::scenario

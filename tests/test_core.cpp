@@ -8,6 +8,7 @@
 #include "core/designer.hpp"
 #include "core/search.hpp"
 #include "core/workbench.hpp"
+#include "scenario/engine.hpp"
 
 namespace axsnn::core {
 namespace {
@@ -248,39 +249,47 @@ DvsWorkbench& SharedDvsBench() {
   return *bench;
 }
 
-/// One accurate DVS model shared across tests (training is the slow part).
-DvsWorkbench::TrainedModel& SharedDvsModel() {
-  static DvsWorkbench::TrainedModel model = SharedDvsBench().Train(1.0f);
-  return model;
+/// One DVS engine shared across tests: its store trains the accurate model
+/// once (training is the slow part) and serves it to every test, the
+/// Algorithm-1 search included.
+scenario::DvsScenarioEngine& SharedDvsEngine() {
+  static scenario::DvsScenarioEngine engine(SharedDvsBench());
+  return engine;
+}
+
+const DvsWorkbench::TrainedModel& SharedDvsModel() {
+  return SharedDvsEngine().TrainCached(1.0f);
 }
 
 TEST(DvsWorkbench, TrainEvaluateRoundTrip) {
   DvsWorkbench& bench = SharedDvsBench();
-  auto& model = SharedDvsModel();
+  const auto& model = SharedDvsModel();
   EXPECT_GT(model.train_accuracy_pct, 55.0f);
-  const float clean = bench.AccuracyPct(model.net, bench.test_set());
+  snn::Network net = model.net.Clone();
+  const float clean = bench.AccuracyPct(net, bench.test_set());
   EXPECT_GT(clean, 55.0f);
 }
 
 TEST(DvsWorkbench, FrameAttackThenAqfRecovers) {
   DvsWorkbench& bench = SharedDvsBench();
-  auto& model = SharedDvsModel();
-  const float clean = bench.AccuracyPct(model.net, bench.test_set());
+  const auto& model = SharedDvsModel();
+  snn::Network net = model.net.Clone();
+  const float clean = bench.AccuracyPct(net, bench.test_set());
   data::EventDataset attacked = bench.Craft(model, AttackKind::kFrame);
-  const float under_attack = bench.AccuracyPct(model.net, attacked);
+  const float under_attack = bench.AccuracyPct(net, attacked);
   AqfConfig aqf;
-  const float defended = bench.AccuracyPct(model.net, attacked, aqf);
+  const float defended = bench.AccuracyPct(net, attacked, aqf);
   EXPECT_LT(under_attack, clean - 10.0f);
   EXPECT_GT(defended, under_attack + 10.0f);
 }
 
 TEST(DvsWorkbench, RejectsGradientAttacks) {
   DvsWorkbench& bench = SharedDvsBench();
-  auto& model = SharedDvsModel();
+  const auto& model = SharedDvsModel();
   EXPECT_THROW(bench.Craft(model, AttackKind::kPgd), std::invalid_argument);
 }
 
-TEST(NeuromorphicSearch, RunsSparseWithAqf) {
+TEST(NeuromorphicSearch, RunsFrameWithAqf) {
   DvsWorkbench& bench = SharedDvsBench();
   SearchSpace space;
   space.v_thresholds = {1.0f};
@@ -291,7 +300,8 @@ TEST(NeuromorphicSearch, RunsSparseWithAqf) {
   cfg.neuromorphic = true;
   cfg.quality_constraint_pct = 30.0f;
   cfg.return_first = false;
-  SearchOutcome outcome = PrecisionScalingSearch(bench, space, cfg);
+  SearchOutcome outcome =
+      PrecisionScalingSearch(bench, space, cfg, &SharedDvsEngine());
   EXPECT_FALSE(outcome.trace.empty());
   EXPECT_GT(outcome.best.robustness_pct, 30.0f);
 }

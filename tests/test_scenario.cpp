@@ -4,6 +4,7 @@
 // Algorithm-1 training gate, and registry-only attacks running end-to-end
 // (a PGD parameter ladder on the static bench, Corner/Dash on the DVS
 // bench) without any workbench enum involvement.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -11,6 +12,7 @@
 
 #include "attacks/registry.hpp"
 #include "core/search.hpp"
+#include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scenario/engine.hpp"
 
@@ -230,22 +232,42 @@ TEST(ScenarioEngine, ModelCacheHitSemantics) {
   for (std::size_t i = 0; i < first.robustness_pct.size(); ++i)
     EXPECT_EQ(first.robustness_pct[i], second.robustness_pct[i])
         << "cache hit changed cell " << i;
-  EXPECT_EQ(engine.model_cache().size(), 1u);
+  EXPECT_EQ(engine.store().model_counts().computed, 1);
 }
 
 TEST(ScenarioEngine, CacheOffRetrainsPerUnitWithIdenticalResults) {
-  scenario::StaticScenarioEngine cached(SharedMiniBench());
-  scenario::StaticScenarioEngine uncached(SharedMiniBench());
-  uncached.set_model_cache_enabled(false);
+  const core::StaticWorkbench& bench = SharedMiniBench();
   const scenario::ScenarioGrid grid = MiniStaticGrid();
 
+  // Cache-free reference: every work unit trains, crafts and evaluates its
+  // variant block for itself (units on the pool, grain 1).
+  std::vector<core::VariantSpec> variants;
+  for (double level : grid.levels)
+    variants.push_back({approx::Precision::kFp32, level, std::nullopt});
+  const long units = static_cast<long>(grid.epsilons.size());
+  std::vector<float> without_cache(grid.epsilons.size() * variants.size());
+  runtime::ParallelFor(
+      0, units,
+      [&](long unit) {
+        const auto model =
+            bench.Train(grid.v_thresholds[0], grid.time_steps[0]);
+        const Tensor adversarial = bench.Craft(
+            model, "PGD",
+            static_cast<float>(grid.epsilons[static_cast<std::size_t>(unit)]));
+        const std::vector<float> block =
+            bench.EvaluateVariants(model, adversarial, variants);
+        std::copy(block.begin(), block.end(),
+                  without_cache.begin() +
+                      unit * static_cast<long>(block.size()));
+      },
+      /*grain=*/1);
+
+  scenario::StaticScenarioEngine cached(bench);
   const auto with_cache = cached.Run(grid);
-  const auto without_cache = uncached.Run(grid);
-  EXPECT_EQ(without_cache.stats.trained_models, 2);  // one per work unit
-  ASSERT_EQ(with_cache.robustness_pct.size(),
-            without_cache.robustness_pct.size());
+  EXPECT_EQ(with_cache.stats.trained_models, 1);  // one per structural cell
+  ASSERT_EQ(with_cache.robustness_pct.size(), without_cache.size());
   for (std::size_t i = 0; i < with_cache.robustness_pct.size(); ++i)
-    EXPECT_EQ(with_cache.robustness_pct[i], without_cache.robustness_pct[i])
+    EXPECT_EQ(with_cache.robustness_pct[i], without_cache[i])
         << "model cache changed cell " << i;
 }
 

@@ -6,6 +6,7 @@
 // entries fall back to recompute, gated units replay from the journal,
 // and two different workbenches can never serve each other artifacts.
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -221,6 +222,24 @@ TEST(ArtifactStore, TruncatedAndGarbageEntriesReadAsCorruptMiss) {
   EXPECT_FALSE(store.Get("key2", scenario::kArtifactCraftTensor,
                          [](std::istream&) {}));
   EXPECT_EQ(store.corrupt_entries(), 2);
+
+  // A header-only entry claiming 2^40 - 1 payload bytes: the claim is
+  // checked against the file before anything is allocated.
+  {
+    std::ofstream f(store.PathFor("key3"), std::ios::binary | std::ios::trunc);
+    const auto put = [&f](auto v) {
+      f.write(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    put(std::uint32_t{0x41585354});  // envelope magic "AXST"
+    put(std::uint32_t{1});           // envelope version
+    put(scenario::kArtifactCraftTensor);
+    put(std::uint32_t{0});  // reserved
+    put(std::uint64_t{(1ull << 40) - 1});
+    put(std::uint64_t{0});  // checksum
+  }
+  EXPECT_FALSE(store.Get("key3", scenario::kArtifactCraftTensor,
+                         [](std::istream&) {}));
+  EXPECT_EQ(store.corrupt_entries(), 3);
 }
 
 // --- engine + store contracts -----------------------------------------------
