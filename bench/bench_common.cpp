@@ -163,7 +163,10 @@ void WriteScenarioStats(const std::string& path,
      << "  \"faulted_evals\": " << stats.faulted_evals << ",\n"
      << "  \"corrupt_entries\": " << stats.corrupt_entries << ",\n"
      << "  \"total_trained_models\": " << stats.total_trained_models << ",\n"
-     << "  \"total_crafted_sets\": " << stats.total_crafted_sets << "\n"
+     << "  \"total_crafted_sets\": " << stats.total_crafted_sets << ",\n"
+     << "  \"train_seconds\": " << stats.train_seconds << ",\n"
+     << "  \"sweep_seconds\": " << stats.sweep_seconds << ",\n"
+     << "  \"wall_seconds\": " << stats.wall_seconds << "\n"
      << "}\n";
   AXSNN_CHECK(os.good(), "failed writing stats output file " << path);
 }

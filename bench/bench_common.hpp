@@ -85,8 +85,9 @@ scenario::ShardRunnerOptions ParseCliOrExit(int argc, char** argv,
 
 /// Writes the distributed-execution counters of one Run as a small JSON
 /// object (trained_models_run, crafted_sets_run, store hits, replayed
-/// units, cumulative totals) — the machine-readable side channel the CI
-/// cache-reuse and shard gates assert on. No-op when `path` is empty.
+/// units, cumulative totals, then the train/sweep/wall phase seconds) — the
+/// machine-readable side channel the CI cache-reuse and shard gates assert
+/// on. No-op when `path` is empty.
 void WriteScenarioStats(const std::string& path,
                         const scenario::ScenarioStats& stats);
 

@@ -131,9 +131,9 @@ class StaticWorkbench {
 
   /// Robustness [%] of every approximate variant of `model` on `images`.
   /// The cells are independent: each one derives its own network clone
-  /// (MakeAx) and evaluates on the global runtime pool, with kernel-level
-  /// parallelism inside a cell throttled to inline. Results align with
-  /// `specs` and are identical at any pool size, including 1.
+  /// (MakeAx) and evaluates on the global runtime pool; kernel loops inside
+  /// a cell borrow parked workers or run inline. Results align with `specs`
+  /// and are identical at any pool size, including 1.
   std::vector<float> EvaluateVariants(const TrainedModel& model,
                                       const Tensor& images,
                                       std::span<const VariantSpec> specs) const;

@@ -37,7 +37,8 @@ inline long NumChunks(long n, long grain) {
 
 /// Runs body(chunk_index, lo, hi) for every fixed chunk [lo, hi) of
 /// [begin, end). `grain` <= 0 selects DefaultGrain. Blocks until done;
-/// nested calls from inside pool work execute inline.
+/// nested calls from inside pool work borrow parked workers, else run inline
+/// (ThreadPool::Run). Chunk boundaries are the same either way.
 template <typename Body>
 void ParallelForChunks(long begin, long end, Body&& body, long grain = 0,
                        ThreadPool* pool = nullptr) {

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "tensor/check.hpp"
@@ -10,8 +11,8 @@ namespace axsnn::runtime {
 
 namespace {
 
-/// Set while the current thread is executing pool work; nested Run calls
-/// observe it and degrade to inline execution.
+/// Set while the current thread is executing pool work; a nested Run
+/// observes it and runs inline unless a worker is parked.
 thread_local bool tls_in_parallel_region = false;
 
 /// RAII guard for tls_in_parallel_region.
@@ -32,11 +33,26 @@ struct ThreadPool::Batch {
   std::atomic<long> next{0};
   std::atomic<long> remaining;
   std::mutex error_mutex;
-  std::exception_ptr first_error;
+  // The lowest failing index and its exception, guarded by error_mutex.
+  long error_index = std::numeric_limits<long>::max();
+  std::exception_ptr error;
   // Queue linkage and retirement bookkeeping — all guarded by state_mutex_.
   Batch* next_queued = nullptr;
   bool linked = false;
   int active = 0;  // workers currently inside ProcessBatch for this batch
+
+  /// Runs task(i), keeping the exception of the lowest failing index.
+  void Execute(long i) {
+    try {
+      task(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (i < error_index) {
+        error_index = i;
+        error = std::current_exception();
+      }
+    }
+  }
 };
 
 bool ThreadPool::InParallelRegion() { return tls_in_parallel_region; }
@@ -64,12 +80,7 @@ void ThreadPool::ProcessBatch(Batch& batch, std::mutex& state_mutex,
   while (true) {
     const long i = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.total) break;
-    try {
-      batch.task(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(batch.error_mutex);
-      if (!batch.first_error) batch.first_error = std::current_exception();
-    }
+    batch.Execute(i);
     if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last task of the batch: wake the submitting thread. Taking the lock
       // (even empty) orders this notify after the waiter's predicate check.
@@ -96,7 +107,11 @@ void ThreadPool::UnlinkLocked(Batch* b) {
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(state_mutex_);
   while (true) {
-    work_cv_.wait(lock, [&] { return stopping_ || head_ != nullptr; });
+    while (!stopping_ && head_ == nullptr) {
+      ++parked_;
+      work_cv_.wait(lock);
+      --parked_;
+    }
     if (stopping_) return;
     Batch* batch = head_;
     if (batch->next.load(std::memory_order_relaxed) >= batch->total) {
@@ -118,17 +133,23 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::Run(long num_tasks, FunctionRef<void(long)> task) {
   if (num_tasks <= 0) return;
-  if (workers_.empty() || tls_in_parallel_region || num_tasks == 1) {
-    // Pool of one, nested submission, or nothing to fan out: run inline.
+  // The batch lives on this stack frame — dispatch performs no heap
+  // allocation.
+  Batch batch(num_tasks, task);
+  if (workers_.empty() || num_tasks == 1 ||
+      (tls_in_parallel_region && parked_.load() == 0)) {
+    // Pool of one, nothing to fan out, or a nested submission no parked
+    // worker could help with: run inline.
     RegionGuard region;
-    for (long i = 0; i < num_tasks; ++i) task(i);
+    for (long i = 0; i < num_tasks; ++i) batch.Execute(i);
+    if (batch.error) std::rethrow_exception(batch.error);
     return;
   }
-  // The batch lives on this stack frame — dispatch performs no heap
-  // allocation. Concurrent producers each append their own batch; workers
-  // drain the queue FIFO while every producer works on its own batch, so a
-  // second submitter never degrades to inline single-threaded execution.
-  Batch batch(num_tasks, task);
+  // Concurrent producers — top-level or nested — each append their own
+  // batch; workers drain the queue FIFO while every producer works on its
+  // own batch, so a second submitter never degrades to inline
+  // single-threaded execution. A nested producer waits below only on tasks
+  // that running threads already claimed, so nesting cannot deadlock.
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     batch.linked = true;
@@ -153,7 +174,7 @@ void ThreadPool::Run(long num_tasks, FunctionRef<void(long)> task) {
     });
     UnlinkLocked(&batch);
   }
-  if (batch.first_error) std::rethrow_exception(batch.first_error);
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 std::optional<long> ParseLongStrict(const char* s) {

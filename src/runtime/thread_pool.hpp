@@ -14,10 +14,14 @@
 //    queued FIFO and drained by the shared workers, each submitter helping
 //    with its own batch. No submitter ever degrades to single-threaded
 //    execution just because another batch is in flight.
-//  * Nested submissions are throttled: a task that itself calls Run (e.g. a
-//    sweep cell whose conv kernels use ParallelFor) executes the nested work
-//    inline on its own thread. This keeps scenario-level fan-out from
-//    oversubscribing the machine and makes re-entrant use deadlock-free.
+//  * Nested submissions borrow idle workers: a task that itself calls Run
+//    (e.g. a sweep cell whose conv kernels use ParallelFor, or the only task
+//    of a one-task batch) publishes its batch to the same FIFO queue when at
+//    least one worker is parked, and runs it inline only when none is. A
+//    busy pool is therefore never oversubscribed, while one-cell phases and
+//    sweep tails still get the idle cores. It stays deadlock-free because a
+//    waiting submitter only waits on tasks that running threads have already
+//    claimed, and a worker claims tasks only when it is running none.
 //  * Determinism contract: Run(n, task) executes task(0..n-1) exactly once
 //    each, on unspecified threads. Callers that need bit-identical results at
 //    any thread count must make task bodies independent (disjoint writes) —
@@ -86,15 +90,17 @@ class ThreadPool {
   int thread_count() const { return thread_count_; }
 
   /// Runs task(i) for every i in [0, num_tasks), blocking until all have
-  /// completed. The calling thread participates. The first exception thrown
-  /// by a task is rethrown here after the batch drains. Re-entrant calls
-  /// (from inside a task) execute inline on the current thread. Concurrent
-  /// calls from distinct threads are queued FIFO and share the workers —
-  /// every submitter observes pool parallelism.
+  /// completed. The calling thread participates. Every task runs even when
+  /// some throw; the exception of the lowest-index failing task is rethrown
+  /// here after the batch drains, so the reported error does not depend on
+  /// scheduling. Re-entrant calls (from inside a task) are queued like any
+  /// other when a worker is parked and execute inline on the current thread
+  /// otherwise. Concurrent calls from distinct threads are queued FIFO and
+  /// share the workers — every submitter observes pool parallelism.
   void Run(long num_tasks, FunctionRef<void(long)> task);
 
-  /// True while the current thread is executing a pool task (used to
-  /// throttle nested parallelism).
+  /// True while the current thread is executing a pool task; a Run made
+  /// there borrows only parked workers.
   static bool InParallelRegion();
 
  private:
@@ -121,6 +127,10 @@ class ThreadPool {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool stopping_ = false;
+  // Workers blocked waiting for work; a nested Run publishes its batch only
+  // when this is nonzero. Read without the lock, so only a hint: a stale
+  // value picks between two correct schedules.
+  std::atomic<int> parked_{0};
   // FIFO queue of published batches (stack nodes, intrusively linked).
   // Workers always claim from the head; a submitter works on its own batch.
   Batch* head_ = nullptr;  // guarded by state_mutex_

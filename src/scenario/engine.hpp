@@ -21,9 +21,11 @@
 // order — see shard.hpp).
 //
 // Determinism: training, crafting and evaluation are each deterministic in
-// their seeds, every unit owns its output slots, and nested parallelism is
-// throttled to inline by the pool — so Run results are bit-identical at any
-// pool size, across store hits and misses, and across any shard split.
+// their seeds, every unit owns its output slots, and nested kernel loops
+// keep fixed chunk boundaries whether they borrow idle pool workers (a
+// one-cell training phase, a sweep's last units) or run inline — so Run
+// results are bit-identical at any pool size, across store hits and misses,
+// and across any shard split.
 #pragma once
 
 #include <concepts>
@@ -40,7 +42,7 @@ namespace axsnn::scenario {
 /// Execution counters of one Run call.
 struct ScenarioStats {
   double wall_seconds = 0.0;   ///< whole Run
-  double train_seconds = 0.0;  ///< phase 1 (structural-cell training)
+  double train_seconds = 0.0;  ///< phase 1 (cell training, after planning)
   double sweep_seconds = 0.0;  ///< phase 2 (craft + variant evaluation)
   long trained_models = 0;     ///< fresh training computations this call
   long train_cache_hits = 0;   ///< models served by the store's memory tier

@@ -1,6 +1,6 @@
 // Tests for the runtime subsystem and its determinism contract:
-//  * ThreadPool / ParallelFor execute every index exactly once, propagate
-//    exceptions, and throttle nested parallelism;
+//  * ThreadPool / ParallelFor execute every index exactly once, rethrow the
+//    lowest-index failure, and let nested batches borrow idle workers;
 //  * chunk partitioning and reductions are bit-identical at any pool size;
 //  * full evaluation pipelines (AccuracyStatic / LogitsTemporal) produce
 //    identical results with pools of size 1, 2 and hardware_concurrency;
@@ -64,16 +64,139 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, NestedRunExecutesInline) {
+// Every task fails or succeeds on its own: all 64 run exactly once, and the
+// rethrown error is task 5's although task 40 throws first in time (task 5
+// sleeps before throwing) — inline at pool 1, in parallel at pool 4, and
+// inside a nested batch that may or may not borrow workers.
+TEST(ThreadPool, RethrowsLowestIndexFailureAfterRunningEveryTask) {
+  constexpr long kTasks = 64;
+  for (const int threads : {1, 4}) {
+    runtime::ThreadPool pool(threads);
+    for (const bool nested : {false, true}) {
+      for (int repeat = 0; repeat < 20; ++repeat) {
+        std::vector<std::atomic<int>> hits(kTasks);
+        auto batch = [&] {
+          pool.Run(kTasks, [&](long i) {
+            hits[static_cast<std::size_t>(i)]++;
+            if (i == 5) {
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              throw std::runtime_error("task 5");
+            }
+            if (i == 40) throw std::runtime_error("task 40");
+          });
+        };
+        std::string message;
+        try {
+          if (nested)
+            pool.Run(1, [&](long) { batch(); });
+          else
+            batch();
+        } catch (const std::runtime_error& e) {
+          message = e.what();
+        }
+        EXPECT_EQ(message, "task 5") << "pool " << threads << " nested "
+                                     << nested << " repeat " << repeat;
+        for (long i = 0; i < kTasks; ++i)
+          ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+              << "task " << i << ", pool " << threads << " nested " << nested;
+      }
+    }
+  }
+}
+
+// Runs one task per pool thread, each waiting until all have started, so
+// every worker enters the batch; when Run returns, every worker is parked.
+// Makes the nested-borrowing tests independent of worker start-up timing.
+void ParkAllWorkers(runtime::ThreadPool& pool) {
+  const long n = pool.thread_count();
+  std::atomic<long> started{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  pool.Run(n, [&](long) {
+    started.fetch_add(1);
+    while (started.load() < n && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  });
+  ASSERT_EQ(started.load(), n);
+}
+
+// Regression for the one-core training phase: a nested Run — from the only
+// task of a one-task batch, or from each task of a two-task batch — used to
+// execute inline, leaving the other workers idle. Parked workers must now
+// share it: the nested work of Run(outer) reaches more threads than the
+// outer batch alone could use. (Per nested batch of Run(2) is not asserted:
+// the first one submitted may take both spare workers, and the second then
+// correctly runs inline.)
+TEST(ThreadPool, NestedRunBorrowsIdleWorkers) {
   runtime::ThreadPool pool(4);
-  std::atomic<long> inner_total{0};
+  for (const long outer : {1L, 2L}) {
+    ParkAllWorkers(pool);
+    std::mutex mutex;
+    std::set<std::thread::id> executors;
+    std::atomic<long> inner_total{0};
+    pool.Run(outer, [&](long) {
+      pool.Run(32, [&](long) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        inner_total.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(mutex);
+        executors.insert(std::this_thread::get_id());
+      });
+    });
+    EXPECT_EQ(inner_total.load(), 32 * outer);
+    EXPECT_GE(executors.size(), static_cast<std::size_t>(outer) + 1)
+        << "the nested batches of Run(" << outer << ") borrowed no worker";
+  }
+}
+
+TEST(ThreadPool, NestedRunsCompleteAtEveryDepth) {
+  runtime::ThreadPool pool(4);
+  ParkAllWorkers(pool);
+  std::atomic<long> level1{0}, level2{0}, level3{0};
   pool.Run(4, [&](long) {
     EXPECT_TRUE(runtime::ThreadPool::InParallelRegion());
-    // A nested submission must not deadlock and must still do all the work.
-    pool.Run(10, [&](long) { inner_total++; });
+    // Nested submissions must not deadlock and must still do all the work,
+    // whether they borrow workers or run inline.
+    pool.Run(5, [&](long) {
+      EXPECT_TRUE(runtime::ThreadPool::InParallelRegion());
+      pool.Run(6, [&](long) {
+        EXPECT_TRUE(runtime::ThreadPool::InParallelRegion());
+        level3++;
+      });
+      level2++;
+    });
+    level1++;
   });
-  EXPECT_EQ(inner_total.load(), 40);
+  EXPECT_EQ(level1.load(), 4);
+  EXPECT_EQ(level2.load(), 4 * 5);
+  EXPECT_EQ(level3.load(), 4 * 5 * 6);
   EXPECT_FALSE(runtime::ThreadPool::InParallelRegion());
+
+  // A task that throws on a borrowed worker inside a nested batch
+  // propagates through both Runs.
+  ParkAllWorkers(pool);
+  std::atomic<long> borrowed_throws{0};
+  std::string message;
+  try {
+    pool.Run(1, [&](long) {
+      const std::thread::id submitter = std::this_thread::get_id();
+      pool.Run(32, [&](long) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (std::this_thread::get_id() != submitter) {
+          borrowed_throws++;
+          throw std::runtime_error("borrowed worker failed");
+        }
+      });
+    });
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_GT(borrowed_throws.load(), 0);
+  EXPECT_EQ(message, "borrowed worker failed");
+
+  // The pool stays usable afterwards, nested batches included.
+  std::atomic<long> after{0};
+  pool.Run(8, [&](long) { pool.Run(8, [&](long) { after++; }); });
+  EXPECT_EQ(after.load(), 64);
 }
 
 // --- ThreadPool multi-producer Run ------------------------------------------
