@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "snn/conv2d.hpp"
-#include "snn/dense.hpp"
 #include "snn/lif_layer.hpp"
+#include "snn/weight_layer.hpp"
 #include "tensor/check.hpp"
 
 namespace axsnn::approx {
@@ -28,19 +27,14 @@ CalibrationStats Calibrate(snn::Network& net, const Tensor& input_tb) {
 
 namespace {
 
-/// Weight layer metadata the pruning pass needs.
+/// A weight layer and the LIF layers around it.
 struct WeightLayerRef {
-  Tensor* weight = nullptr;
-  Tensor* bias = nullptr;
-  std::string name;
-  long fan_in = 0;           // c in Eq. (1)
-  int following_lif = -1;    // index into CalibrationStats::lif
+  snn::WeightLayer* layer = nullptr;
+  int following_lif = -1;  // index into CalibrationStats::lif
   int preceding_lif = -1;
-  snn::Conv2d* conv = nullptr;   // exactly one of conv/dense is set,
-  snn::Dense* dense = nullptr;   // for int8-backend activation
 };
 
-/// Walks the network and pairs every Conv2d/Dense with the LIF layer whose
+/// Walks the network and pairs every weight layer with the LIF layer whose
 /// activity drives its Eq. (1) threshold (the LIF it feeds; for the readout
 /// layer, the LIF feeding it).
 std::vector<WeightLayerRef> CollectWeightLayers(snn::Network& net) {
@@ -48,24 +42,8 @@ std::vector<WeightLayerRef> CollectWeightLayers(snn::Network& net) {
   int lif_seen = 0;
   for (std::size_t i = 0; i < net.size(); ++i) {
     snn::Layer& layer = net.layer(i);
-    if (auto* conv = dynamic_cast<snn::Conv2d*>(&layer)) {
-      WeightLayerRef ref;
-      ref.weight = &conv->weight();
-      ref.bias = &conv->bias();
-      ref.name = conv->Name();
-      ref.fan_in = conv->in_channels() * conv->kernel() * conv->kernel();
-      ref.preceding_lif = lif_seen - 1;
-      ref.conv = conv;
-      out.push_back(ref);
-    } else if (auto* dense = dynamic_cast<snn::Dense*>(&layer)) {
-      WeightLayerRef ref;
-      ref.weight = &dense->weight();
-      ref.bias = &dense->bias();
-      ref.name = dense->Name();
-      ref.fan_in = dense->in_features();
-      ref.preceding_lif = lif_seen - 1;
-      ref.dense = dense;
-      out.push_back(ref);
+    if (auto* weighted = dynamic_cast<snn::WeightLayer*>(&layer)) {
+      out.push_back({weighted, -1, lif_seen - 1});
     } else if (dynamic_cast<snn::LifLayer*>(&layer) != nullptr) {
       // The most recent weight layer without a LIF yet feeds this one.
       for (auto it = out.rbegin(); it != out.rend(); ++it) {
@@ -93,18 +71,19 @@ ApproxReport ApplyApproximation(snn::Network& net, const ApproxConfig& cfg,
   // Temporal-path knob: like kernel_mode, a pure performance preference.
   net.set_event_path(cfg.event_path);
 
-  for (WeightLayerRef& ref : CollectWeightLayers(net)) {
+  for (const WeightLayerRef& ref : CollectWeightLayers(net)) {
+    snn::WeightLayer& layer = *ref.layer;
+    Tensor& weight = layer.weight();
     // Kernel-path knob: applies to fp32 and int8 execution alike.
-    if (ref.conv != nullptr) ref.conv->set_kernel_mode(cfg.kernel_mode);
-    if (ref.dense != nullptr) ref.dense->set_kernel_mode(cfg.kernel_mode);
+    layer.set_kernel_mode(cfg.kernel_mode);
 
     // Precision scaling always applies (it is the wp in Eq. (1)).
-    const float weight_scale = QuantizeTensor(*ref.weight, cfg.precision);
-    QuantizeTensor(*ref.bias, cfg.precision);
+    const float weight_scale = QuantizeTensor(weight, cfg.precision);
+    QuantizeTensor(layer.bias(), cfg.precision);
 
     LayerApproxReport lr;
-    lr.layer = ref.name;
-    lr.total = ref.weight->numel();
+    lr.layer = layer.Name();
+    lr.total = weight.numel();
     conn_total += lr.total;
 
     if (cfg.level > 0.0) {
@@ -113,7 +92,7 @@ ApproxReport ApplyApproximation(snn::Network& net, const ApproxConfig& cfg,
           ref.following_lif >= 0 ? ref.following_lif : ref.preceding_lif;
       AXSNN_CHECK(lif_idx >= 0 &&
                       lif_idx < static_cast<int>(calibration.lif.size()),
-                  "no calibration stats for layer " << ref.name);
+                  "no calibration stats for layer " << lr.layer);
       const LayerCalibration& cal =
           calibration.lif[static_cast<std::size_t>(lif_idx)];
 
@@ -126,12 +105,12 @@ ApproxReport ApplyApproximation(snn::Network& net, const ApproxConfig& cfg,
       // why the fan-in enters through it rather than as a second factor).
       const float spike_prob =
           std::min(1.0f, cal.mean_drive / cal.v_threshold);
-      const long outputs = ref.weight->numel() / ref.fan_in;
+      const long fan_in = layer.fan_in();
+      const long outputs = weight.numel() / fan_in;
       double sum_of_abs_rowsums = 0.0;
       for (long o = 0; o < outputs; ++o) {
         double row = 0.0;
-        for (long i = 0; i < ref.fan_in; ++i)
-          row += (*ref.weight)[o * ref.fan_in + i];
+        for (long i = 0; i < fan_in; ++i) row += weight[o * fan_in + i];
         sum_of_abs_rowsums += std::fabs(row);
       }
       const float mean_connection_sum =
@@ -139,7 +118,7 @@ ApproxReport ApplyApproximation(snn::Network& net, const ApproxConfig& cfg,
       const float ath_base = cal.mean_rate * spike_prob * mean_connection_sum;
       lr.ath = static_cast<float>(cfg.level * cfg.threshold_gain) * ath_base;
 
-      for (float& w : ref.weight->flat()) {
+      for (float& w : weight.flat()) {
         if (std::fabs(w) < lr.ath && w != 0.0f) {
           w = 0.0f;
           ++lr.pruned;
@@ -157,14 +136,12 @@ ApproxReport ApplyApproximation(snn::Network& net, const ApproxConfig& cfg,
     // bit-alignment for finer per-channel resolution on raw float weights.
     if (cfg.precision == Precision::kInt8 && cfg.int8_kernels) {
       const std::vector<float> lattice(
-          static_cast<std::size_t>(ref.weight->dim(0)), weight_scale);
-      if (ref.conv != nullptr) ref.conv->EnableInt8Kernel(lattice);
-      if (ref.dense != nullptr) ref.dense->EnableInt8Kernel(lattice);
+          static_cast<std::size_t>(weight.dim(0)), weight_scale);
+      layer.EnableInt8Kernel(lattice);
     } else {
       // Float emulation path (and stale-backend guard when re-approximating
       // a network that previously ran int8).
-      if (ref.conv != nullptr) ref.conv->DisableInt8Kernel();
-      if (ref.dense != nullptr) ref.dense->DisableInt8Kernel();
+      layer.DisableInt8Kernel();
     }
     report.layers.push_back(lr);
   }

@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "snn/conv2d.hpp"
-#include "snn/dense.hpp"
+#include "snn/weight_layer.hpp"
 #include "tensor/check.hpp"
 
 namespace axsnn::approx {
@@ -25,34 +24,19 @@ EnergyReport EstimateEnergy(snn::Network& net, const Tensor& input_tb,
     double total_in_activity = 0.0;  // sum of activation (spike count)
     for (float v : activation.flat()) total_in_activity += std::fabs(v);
 
-    if (auto* conv = dynamic_cast<snn::Conv2d*>(&layer)) {
+    if (auto* weighted = dynamic_cast<snn::WeightLayer*>(&layer)) {
       LayerEnergy le;
-      le.layer = conv->Name();
-      const long total_w = conv->weight().numel();
-      const long nnz = conv->weight().CountGreater(0.0f) +
-                       Tensor(conv->weight()).Scale(-1.0f).CountGreater(0.0f);
+      le.layer = weighted->Name();
+      const Tensor& weight = weighted->weight();
+      const long total_w = weight.numel();
+      const long nnz = weight.CountGreater(0.0f) +
+                       Tensor(weight).Scale(-1.0f).CountGreater(0.0f);
       le.nnz_fraction = total_w == 0 ? 0.0
                                      : static_cast<double>(nnz) /
                                            static_cast<double>(total_w);
-      // Fan-out of one input element (ignoring borders): Cout * K * K.
-      const double fanout = static_cast<double>(
-          conv->out_channels() * conv->kernel() * conv->kernel());
-      le.input_rate =
-          total_in_activity / static_cast<double>(activation.numel());
-      le.synaptic_ops =
-          total_in_activity * fanout * le.nnz_fraction / batch;
-      le.energy = le.synaptic_ops * mac_energy;
-      report.layers.push_back(le);
-    } else if (auto* dense = dynamic_cast<snn::Dense*>(&layer)) {
-      LayerEnergy le;
-      le.layer = dense->Name();
-      const long total_w = dense->weight().numel();
-      const long nnz = dense->weight().CountGreater(0.0f) +
-                       Tensor(dense->weight()).Scale(-1.0f).CountGreater(0.0f);
-      le.nnz_fraction = total_w == 0 ? 0.0
-                                     : static_cast<double>(nnz) /
-                                           static_cast<double>(total_w);
-      const double fanout = static_cast<double>(dense->out_features());
+      // Fan-out of one input element (ignoring borders): Cout * K * K for
+      // a conv, F_out for a dense layer.
+      const double fanout = static_cast<double>(weighted->fan_out());
       le.input_rate =
           total_in_activity / static_cast<double>(activation.numel());
       le.synaptic_ops =

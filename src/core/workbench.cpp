@@ -10,39 +10,6 @@
 
 namespace axsnn::core {
 
-namespace {
-
-/// Event-path evaluation over an event dataset: bins one eval chunk at a
-/// time straight into a packed spike stream (data::BinRangePacked — the
-/// [N, T, 2, H, W] dense tensor never exists) and steps the runner over it.
-/// Chunk boundaries match the dense AccuracyTemporal loop and the runner's
-/// logits are bit-identical to the dense readout, so the predictions — and
-/// therefore every rendered report — are identical across paths. Returns
-/// accuracy in [0, 1].
-float AccuracyEventStreams(snn::Network& net, const data::EventDataset& ds,
-                           long time_bins, long batch) {
-  const long n = ds.size();
-  kernels::SpikeStream stream;
-  snn::EventRunner runner(net);
-  long correct = 0;
-  for (long start = 0; start < n; start += batch) {
-    const long count = std::min(batch, n - start);
-    data::BinRangePacked(ds, start, start + count, time_bins, stream);
-    const Tensor& logits = runner.Run(stream);
-    const long k = logits.dim(1);
-    for (long i = 0; i < count; ++i) {
-      const float* row = logits.data() + i * k;
-      const int pred =
-          static_cast<int>(std::max_element(row, row + k) - row);
-      if (pred == ds.labels[static_cast<std::size_t>(start + i)]) ++correct;
-    }
-  }
-  return n == 0 ? 0.0f
-               : static_cast<float>(correct) / static_cast<float>(n);
-}
-
-}  // namespace
-
 std::string AttackName(AttackKind kind) {
   // Index-to-key table only; the canonical display name comes from the
   // registered attack object, so the registry stays the single source of
@@ -285,25 +252,52 @@ snn::Network DvsWorkbench::MakeAx(const TrainedModel& model,
   return std::move(ax);
 }
 
+float DvsWorkbench::EvalAccuracyPct(snn::Network& net,
+                                    const data::EventDataset& eval_set,
+                                    const Tensor* frames) const {
+  if (snn::UsesEventPath(net)) {
+    // Bins one eval chunk at a time straight into a packed spike stream
+    // (the [N, T, 2, H, W] dense tensor never exists) and steps the runner
+    // over it. Chunk boundaries match the dense AccuracyTemporal loop and
+    // the runner's logits are bit-identical to the dense readout, so the
+    // predictions — and every rendered report — are identical across paths.
+    const long n = eval_set.size();
+    const long batch = options_.eval_batch;
+    kernels::SpikeStream stream;
+    snn::EventRunner runner(net);
+    long correct = 0;
+    for (long start = 0; start < n; start += batch) {
+      const long count = std::min(batch, n - start);
+      data::BinRangePacked(eval_set, start, start + count, options_.time_bins,
+                           stream);
+      const Tensor& logits = runner.Run(stream);
+      const long k = logits.dim(1);
+      for (long i = 0; i < count; ++i) {
+        const float* row = logits.data() + i * k;
+        const int pred =
+            static_cast<int>(std::max_element(row, row + k) - row);
+        if (pred == eval_set.labels[static_cast<std::size_t>(start + i)])
+          ++correct;
+      }
+    }
+    return n == 0 ? 0.0f
+                 : 100.0f * (static_cast<float>(correct) /
+                             static_cast<float>(n));
+  }
+  Tensor binned;
+  if (frames == nullptr) {
+    binned = data::BinDataset(eval_set, options_.time_bins);
+    frames = &binned;
+  }
+  return 100.0f * snn::AccuracyTemporal(net, *frames, eval_set.labels,
+                                        options_.eval_batch);
+}
+
 float DvsWorkbench::AccuracyPct(snn::Network& victim,
                                 const data::EventDataset& streams,
                                 const std::optional<AqfConfig>& aqf) const {
-  const data::EventDataset* eval_set = &streams;
-  data::EventDataset filtered;
-  if (aqf.has_value()) {
-    filtered = AqfFilterDataset(streams, *aqf);
-    eval_set = &filtered;
-  }
-  if (!victim.has_post_layer_hook() &&  // fault hooks are dense-path only
-      snn::ResolveEventPathMode(victim.event_path()) ==
-          snn::EventPathMode::kEvent) {
-    return 100.0f * AccuracyEventStreams(victim, *eval_set,
-                                         options_.time_bins,
-                                         options_.eval_batch);
-  }
-  Tensor frames = data::BinDataset(*eval_set, options_.time_bins);
-  return 100.0f * snn::AccuracyTemporal(victim, frames, eval_set->labels,
-                                        options_.eval_batch);
+  if (!aqf.has_value()) return EvalAccuracyPct(victim, streams, nullptr);
+  return EvalAccuracyPct(victim, AqfFilterDataset(streams, *aqf), nullptr);
 }
 
 std::vector<float> DvsWorkbench::EvaluateVariants(
@@ -318,27 +312,21 @@ std::vector<float> DvsWorkbench::EvaluateVariants(
     filtered = AqfFilterDataset(streams, *aqf);
     eval_set = &filtered;
   }
-  // Every cell shares the options-level event_path (MakeAx applies it), so
-  // the routing decision is uniform: on the event path, skip the dense
-  // binning entirely — each cell bins per-chunk packed streams instead.
-  const bool event_path = snn::ResolveEventPathMode(options_.event_path) ==
-                          snn::EventPathMode::kEvent;
+  // Every cell carries the options-level event_path (MakeAx applies it) and
+  // no hook, so on the event path no cell reads dense frames: skip the
+  // binning then — each cell bins per-chunk packed streams instead.
   Tensor frames;
-  if (!event_path) frames = data::BinDataset(*eval_set, options_.time_bins);
+  if (snn::ResolveEventPathMode(options_.event_path) !=
+      snn::EventPathMode::kEvent)
+    frames = data::BinDataset(*eval_set, options_.time_bins);
   std::vector<float> robustness(specs.size(), 0.0f);
   runtime::ParallelFor(
       0, static_cast<long>(specs.size()),
       [&](long i) {
         const VariantSpec& spec = specs[static_cast<std::size_t>(i)];
         snn::Network ax = MakeAx(model, spec);
-        robustness[static_cast<std::size_t>(i)] =
-            event_path
-                ? 100.0f * AccuracyEventStreams(ax, *eval_set,
-                                                options_.time_bins,
-                                                options_.eval_batch)
-                : 100.0f * snn::AccuracyTemporal(ax, frames,
-                                                 eval_set->labels,
-                                                 options_.eval_batch);
+        robustness[static_cast<std::size_t>(i)] = EvalAccuracyPct(
+            ax, *eval_set, frames.empty() ? nullptr : &frames);
       },
       /*grain=*/1);
   return robustness;

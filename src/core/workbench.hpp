@@ -240,6 +240,12 @@ class DvsWorkbench {
   const Options& options() const { return options_; }
 
  private:
+  /// Accuracy [%] of `net` on `eval_set`: per-chunk packed streams through
+  /// the event runner when snn::UsesEventPath(net), else AccuracyTemporal
+  /// over `frames` (the binned eval set; null bins it here).
+  float EvalAccuracyPct(snn::Network& net, const data::EventDataset& eval_set,
+                        const Tensor* frames) const;
+
   data::EventDataset train_;
   data::EventDataset test_;
   Tensor train_frames_;  // pre-binned [N, T, 2, H, W]

@@ -6,9 +6,8 @@
 #include <memory>
 #include <utility>
 
-#include "snn/conv2d.hpp"
-#include "snn/dense.hpp"
 #include "snn/lif_layer.hpp"
+#include "snn/weight_layer.hpp"
 #include "tensor/check.hpp"
 #include "tensor/random.hpp"
 
@@ -45,8 +44,8 @@ bool WantTarget(WeightTarget filter, WeightTarget t) {
   return filter == WeightTarget::kAny || filter == t;
 }
 
-/// Weight-domain surface: per Conv2d/Dense ordinal, the arrays the variant
-/// actually stores. Layer filter -1 keeps all ordinals.
+/// Weight-domain surface: per weight-layer (Conv2d/Dense) ordinal, the
+/// arrays the variant actually stores. Layer filter -1 keeps all ordinals.
 std::vector<SurfaceSpan> WeightSpans(snn::Network& net, long layer_filter,
                                      WeightTarget target_filter,
                                      approx::Precision precision) {
@@ -55,19 +54,13 @@ std::vector<SurfaceSpan> WeightSpans(snn::Network& net, long layer_filter,
   const WordEnc float_enc =
       precision == approx::Precision::kFp16 ? WordEnc::kF16 : WordEnc::kF32;
   for (std::size_t i = 0; i < net.size(); ++i) {
-    Tensor* weight = nullptr;
-    QuantizedTensor* snapshot = nullptr;
-    if (auto* conv = dynamic_cast<snn::Conv2d*>(&net.layer(i))) {
-      weight = &conv->weight();
-      if (conv->int8_kernel()) snapshot = &conv->quantized_weight();
-    } else if (auto* dense = dynamic_cast<snn::Dense*>(&net.layer(i))) {
-      weight = &dense->weight();
-      if (dense->int8_kernel()) snapshot = &dense->quantized_weight();
-    } else {
-      continue;
-    }
+    auto* layer = dynamic_cast<snn::WeightLayer*>(&net.layer(i));
+    if (layer == nullptr) continue;
     const long l = ordinal++;
     if (layer_filter >= 0 && l != layer_filter) continue;
+    Tensor* weight = &layer->weight();
+    QuantizedTensor* snapshot =
+        layer->int8_kernel() ? &layer->quantized_weight() : nullptr;
     if (snapshot != nullptr) {
       // Integer execution: the hardware holds codes + scale words, not the
       // float master copy — that is the surface a fault lands on.

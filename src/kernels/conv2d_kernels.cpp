@@ -439,33 +439,10 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   const float* bd = bias.data();
   float* od = out.data();
 
-  mode = ResolveKernelMode(mode);
+  const KernelPlan plan = PlanKernel(KernelFamily::kConvF32, mode, xd, d.n,
+                                     d.x_sample, scratch, packed);
+  mode = plan.mode;
   const long wps = SpikeWordCount(d.x_sample);
-  const std::uint64_t* words_d = nullptr;
-  if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    // Spike words serve the density probe (popcount — the exact same count
-    // as the old elementwise probe) and, below, the sparse gather.
-    long nonzero;
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words = scratch.AcquireU64(slots::kWords,
-                                       static_cast<std::size_t>(d.n * wps));
-      nonzero = ParallelPackSpikeWords(xd, d.n, d.x_sample, words.data());
-      words_d = words.data();
-    }
-    // Dense fallback naive: the reference loops vectorize their contiguous
-    // row MACs and skip pruned weights, and auto never picks the
-    // tolerance-gated fp32 simd path (see kernels/dispatch.hpp).
-    mode = ChooseByDensity(mode,
-                           static_cast<float>(nonzero) /
-                               static_cast<float>(x.numel()),
-                           kConvSparseDensityMax, KernelMode::kNaive);
-  }
-  if (mode == KernelMode::kSimd &&
-      ActiveSimdTier() == SimdTier::kScalar)
-    mode = KernelMode::kNaive;  // forced simd without the tier: scalar ref
 
   if (mode == KernelMode::kNaive) {
     Conv2dNaive(xd, wd, bd, od, d);
@@ -521,8 +498,8 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
         std::int32_t* c_cols = cols_d + chunk * d.x_sample;
         float* c_vals = vals_d + chunk * d.x_sample;
         for (long s = lo; s < hi; ++s) {
-          GatherNonzerosWords(xd + s * d.x_sample, words_d + s * wps, d,
-                              c_offs, c_rows, c_cols, c_vals);
+          GatherNonzerosWords(xd + s * d.x_sample, plan.words + s * wps,
+                              d, c_offs, c_rows, c_cols, c_vals);
           float* os = od + s * d.o_sample;
           for (long co = 0; co < d.c_out; ++co) {
             float* op = os + co * d.o_plane;
@@ -543,7 +520,6 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
                        long h, long w, Tensor& out, const Conv2dGeom& geom,
                        KernelMode mode, runtime::Workspace& scratch,
                        const PackedWords* packed) {
-  const long x_numel = n * geom.in_channels * h * w;
   const Dims d = MakeDims(n, h, w, geom);
   AXSNN_CHECK(weight.rows() == d.c_out && weight.row_size() == d.w_per_out,
               "Int8Conv2dForward weight shape mismatch");
@@ -555,35 +531,10 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
   const float* bd = bias.data();
   float* od = out.data();
 
-  mode = ResolveKernelMode(mode);
-  const SimdTier tier = ActiveSimdTier();
+  const KernelPlan plan = PlanKernel(KernelFamily::kConvI8, mode, qact, d.n,
+                                     d.x_sample, scratch, packed);
+  mode = plan.mode;
   const long wps = SpikeWordCount(d.x_sample);
-  const std::uint64_t* words_d = nullptr;
-  if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    long nonzero;
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words = scratch.AcquireU64(slots::kWords,
-                                       static_cast<std::size_t>(d.n * wps));
-      nonzero = ParallelPackSpikeWords(qact, d.n, d.x_sample, words.data());
-      words_d = words.data();
-    }
-    // ISA probe (dispatch rule 4): with the SIMD tier active the dense
-    // fallback is the exact int8 panel microkernel and the sparse
-    // crossover drops (32-MAC instructions raise the dense work rate);
-    // scalar machines keep the original naive fallback and threshold. All
-    // candidates are bit-identical, so this never changes results.
-    const bool simd_ok = tier != SimdTier::kScalar;
-    mode = ChooseByDensity(
-        mode,
-        static_cast<float>(nonzero) / static_cast<float>(x_numel),
-        simd_ok ? kConvSparseDensityMaxI8Simd : kConvSparseDensityMax,
-        simd_ok ? KernelMode::kSimd : KernelMode::kNaive);
-  }
-  if (mode == KernelMode::kSimd && tier == SimdTier::kScalar)
-    mode = KernelMode::kNaive;  // forced simd without the tier: scalar ref
 
   if (mode == KernelMode::kNaive) {
     // Same loop nest as the float Conv2dNaive: one disjoint output plane per
@@ -628,7 +579,7 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
     auto& panel = scratch.AcquireI8(
         slots::kPanel, static_cast<std::size_t>(chunks * panel_bytes));
     std::int8_t* panel_d = panel.data();
-    const bool vnni = tier == SimdTier::kVnni;
+    const bool vnni = plan.tier == SimdTier::kVnni;
     runtime::ParallelForChunks(
         0, d.n,
         [&](long chunk, long lo, long hi) {
@@ -693,8 +644,8 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
         std::int32_t* c_vals = vals_d + chunk * d.x_sample;
         std::int32_t* ap = acc_d + chunk * d.o_plane;
         for (long s = lo; s < hi; ++s) {
-          GatherNonzerosWords(qact + s * d.x_sample, words_d + s * wps, d,
-                              c_offs, c_rows, c_cols, c_vals);
+          GatherNonzerosWords(qact + s * d.x_sample, plan.words + s * wps,
+                              d, c_offs, c_rows, c_cols, c_vals);
           float* os = od + s * d.o_sample;
           for (long co = 0; co < d.c_out; ++co) {
             for (long i = 0; i < d.o_plane; ++i) ap[i] = 0;

@@ -193,31 +193,10 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   const float* bd = bias.data();
   float* od = out.data();
 
-  mode = ResolveKernelMode(mode);
+  const KernelPlan plan = PlanKernel(KernelFamily::kDenseF32, mode, xd, n,
+                                     f_in, scratch, packed);
+  mode = plan.mode;
   const long wps = SpikeWordCount(f_in);
-  const std::uint64_t* words_d = nullptr;
-  if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    long nonzero;
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words =
-          scratch.AcquireU64(slots::kWords, static_cast<std::size_t>(n * wps));
-      nonzero = ParallelPackSpikeWords(xd, n, f_in, words.data());
-      words_d = words.data();
-    }
-    // Dense fallback gemm: the one family where the register-blocked tiles
-    // beat the reference loops outright, and auto never picks the
-    // tolerance-gated fp32 simd path (see kernels/dispatch.hpp).
-    mode = ChooseByDensity(mode,
-                           static_cast<float>(nonzero) /
-                               static_cast<float>(x.numel()),
-                           kDenseSparseDensityMax, KernelMode::kGemm);
-  }
-  if (mode == KernelMode::kSimd &&
-      ActiveSimdTier() == SimdTier::kScalar)
-    mode = KernelMode::kNaive;  // forced simd without the tier: scalar ref
 
   if (mode == KernelMode::kNaive) {
     DenseNaive(xd, wd, bd, od, n, f_in, f_out);
@@ -269,8 +248,8 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
         std::int32_t* c_idx = idx_d + chunk * f_in;
         float* c_vals = vals_d + chunk * f_in;
         for (long s = lo; s < hi; ++s) {
-          const long m = GatherRowWords(xd + s * f_in, words_d + s * wps,
-                                        f_in, c_idx, c_vals);
+          const long m = GatherRowWords(
+              xd + s * f_in, plan.words + s * wps, f_in, c_idx, c_vals);
           SparseRowF32(wd, bd, c_idx, c_vals, m, od + s * f_out, f_in, f_out);
         }
       },
@@ -293,33 +272,10 @@ void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
   const float* bd = bias.data();
   float* od = out.data();
 
-  mode = ResolveKernelMode(mode);
-  const SimdTier tier = ActiveSimdTier();
+  const KernelPlan plan = PlanKernel(KernelFamily::kDenseI8, mode, qact, n,
+                                     f_in, scratch, packed);
+  mode = plan.mode;
   const long wps = SpikeWordCount(f_in);
-  const std::uint64_t* words_d = nullptr;
-  long nonzero = 0;
-  if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words =
-          scratch.AcquireU64(slots::kWords, static_cast<std::size_t>(n * wps));
-      nonzero = ParallelPackSpikeWords(qact, n, f_in, words.data());
-      words_d = words.data();
-    }
-    // ISA probe (dispatch rule 4): the 32-MAC SIMD dot products replace
-    // naive as the int8 dense fallback when the tier is active, and the
-    // sparse crossover drops accordingly. All candidates are bit-identical,
-    // so this never changes results.
-    const bool simd_ok = tier != SimdTier::kScalar;
-    mode = ChooseByDensity(
-        mode, static_cast<float>(nonzero) / static_cast<float>(n * f_in),
-        simd_ok ? kDenseSparseDensityMaxI8Simd : kDenseSparseDensityMax,
-        simd_ok ? KernelMode::kSimd : KernelMode::kNaive);
-  }
-  if (mode == KernelMode::kSimd && tier == SimdTier::kScalar)
-    mode = KernelMode::kNaive;  // forced simd without the tier: scalar ref
 
   if (mode == KernelMode::kNaive) {
     Int8DenseNaive(qact, wd, ws, act_scale, bd, od, n, f_in, f_out);
@@ -332,7 +288,7 @@ void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
   if (mode == KernelMode::kSimd) {
     // Activation codes and weight rows are already contiguous int8: the
     // microkernel runs straight over them, no packing scratch.
-    const bool vnni = tier == SimdTier::kVnni;
+    const bool vnni = plan.tier == SimdTier::kVnni;
     runtime::ParallelForChunks(
         0, n,
         [&](long chunk, long lo, long hi) {
@@ -378,8 +334,8 @@ void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
         std::int32_t* c_idx = idx_d + chunk * f_in;
         std::int32_t* c_vals = vals_d + chunk * f_in;
         for (long s = lo; s < hi; ++s) {
-          const long m = GatherRowWords(qact + s * f_in, words_d + s * wps,
-                                        f_in, c_idx, c_vals);
+          const long m = GatherRowWords(
+              qact + s * f_in, plan.words + s * wps, f_in, c_idx, c_vals);
           SparseRowI32(wd, ws, act_scale, bd, c_idx, c_vals, m,
                        od + s * f_out, f_in, f_out);
         }

@@ -6,6 +6,8 @@
 
 #include "kernels/spike_words.hpp"
 #include "runtime/parallel_for.hpp"
+#include "runtime/workspace.hpp"
+#include "tensor/check.hpp"
 
 namespace axsnn::kernels {
 
@@ -34,15 +36,22 @@ std::optional<KernelMode> ParseKernelMode(std::string_view name) {
   return std::nullopt;
 }
 
-namespace {
-
-KernelMode ModeFromEnv() {
-  const char* env = std::getenv("AXSNN_KERNEL_MODE");
-  if (env == nullptr) return KernelMode::kAuto;
-  return ParseKernelMode(env).value_or(KernelMode::kAuto);
+KernelMode KernelModeFromEnv(const char* value) {
+  if (value == nullptr) return KernelMode::kAuto;
+  const std::optional<KernelMode> mode = ParseKernelMode(value);
+  AXSNN_CHECK(mode.has_value(),
+              "AXSNN_KERNEL_MODE must be one of auto, naive, gemm, sparse, "
+              "simd; got \"" << value << "\"");
+  return *mode;
 }
 
-std::atomic<KernelMode> g_mode{ModeFromEnv()};
+namespace {
+
+std::atomic<KernelMode>& GlobalModeRef() {
+  static std::atomic<KernelMode> mode{
+      KernelModeFromEnv(std::getenv("AXSNN_KERNEL_MODE"))};
+  return mode;
+}
 
 /// Shared chunked nonzero count: exact at any pool size (integer counting
 /// is order-independent; the fixed-chunk shape keeps that self-evident).
@@ -68,10 +77,12 @@ float DensityOf(const T* x, long n) {
 
 }  // namespace
 
-KernelMode GlobalKernelMode() { return g_mode.load(std::memory_order_relaxed); }
+KernelMode GlobalKernelMode() {
+  return GlobalModeRef().load(std::memory_order_relaxed);
+}
 
 void SetGlobalKernelMode(KernelMode mode) {
-  g_mode.store(mode, std::memory_order_relaxed);
+  GlobalModeRef().store(mode, std::memory_order_relaxed);
 }
 
 float Density(const float* x, long n) { return DensityOf(x, n); }
@@ -131,5 +142,80 @@ KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
   if (mode != KernelMode::kAuto) return mode;
   return density <= sparse_max ? KernelMode::kSparse : dense_fallback;
 }
+
+namespace {
+
+/// One family's rule 3-4 inputs: the sparse threshold and dense fallback.
+struct FamilyRule {
+  float sparse_max;
+  KernelMode dense_fallback;
+};
+
+/// Indexed [KernelFamily][SIMD tier active]. fp32 never falls back to simd:
+/// its FMA order differs from naive, so it runs only when forced. conv fp32
+/// falls back to naive (its reference loops vectorize their row MACs and
+/// skip pruned weights), dense fp32 to gemm (the one family where the
+/// register-blocked tiles beat the reference loops). With a tier the int8
+/// families fall back to their exact SIMD microkernels, whose 32-MAC
+/// instructions also lower the sparse crossover.
+constexpr FamilyRule kFamilyRules[4][2] = {
+    /* conv fp32  */ {{kConvSparseDensityMax, KernelMode::kNaive},
+                      {kConvSparseDensityMax, KernelMode::kNaive}},
+    /* dense fp32 */ {{kDenseSparseDensityMax, KernelMode::kGemm},
+                      {kDenseSparseDensityMax, KernelMode::kGemm}},
+    /* conv int8  */ {{kConvSparseDensityMax, KernelMode::kNaive},
+                      {kConvSparseDensityMaxI8Simd, KernelMode::kSimd}},
+    /* dense int8 */ {{kDenseSparseDensityMax, KernelMode::kNaive},
+                      {kDenseSparseDensityMaxI8Simd, KernelMode::kSimd}},
+};
+
+}  // namespace
+
+KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
+                            float density, SimdTier tier) {
+  const bool simd = tier != SimdTier::kScalar;
+  const FamilyRule& rule = kFamilyRules[static_cast<int>(family)][simd];
+  mode = ChooseByDensity(mode, density, rule.sparse_max, rule.dense_fallback);
+  // Forced simd without the tier runs the scalar reference.
+  return mode == KernelMode::kSimd && !simd ? KernelMode::kNaive : mode;
+}
+
+template <typename T>
+KernelPlan PlanKernel(KernelFamily family, KernelMode requested, const T* x,
+                      long n_samples, long sample_len,
+                      runtime::Workspace& scratch, const PackedWords* packed) {
+  KernelPlan plan;
+  const KernelMode mode = ResolveKernelMode(requested);
+  float density = 0.0f;
+  if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
+    // Spike words serve the density probe (a popcount — the same count as
+    // an elementwise probe) and the sparse gather.
+    long nonzero;
+    if (packed != nullptr) {
+      plan.words = packed->words;
+      nonzero = packed->nonzero;
+    } else {
+      auto& words = scratch.AcquireU64(
+          slots::kWords,
+          static_cast<std::size_t>(n_samples * SpikeWordCount(sample_len)));
+      nonzero = ParallelPackSpikeWords(x, n_samples, sample_len, words.data());
+      plan.words = words.data();
+    }
+    density = static_cast<float>(nonzero) /
+              static_cast<float>(n_samples * sample_len);
+  }
+  plan.tier = ActiveSimdTier();
+  plan.mode = DecideKernelMode(family, mode, density, plan.tier);
+  return plan;
+}
+
+template KernelPlan PlanKernel(KernelFamily, KernelMode, const float*, long,
+                               long, runtime::Workspace&, const PackedWords*);
+template KernelPlan PlanKernel(KernelFamily, KernelMode, const std::int32_t*,
+                               long, long, runtime::Workspace&,
+                               const PackedWords*);
+template KernelPlan PlanKernel(KernelFamily, KernelMode, const std::int8_t*,
+                               long, long, runtime::Workspace&,
+                               const PackedWords*);
 
 }  // namespace axsnn::kernels

@@ -40,7 +40,7 @@
 //      SetGlobalKernelMode) forces that path everywhere — the CI matrix and
 //      the differential tests use this to pin each path;
 //   2. otherwise a non-auto *layer/config* mode
-//      (ApproxConfig::kernel_mode -> Conv2d/Dense::set_kernel_mode);
+//      (ApproxConfig::kernel_mode -> WeightLayer::set_kernel_mode);
 //   3. otherwise (auto) a per-call density probe (a popcount over the
 //      spike words) picks sparse at or below the density thresholds;
 //   4. above them the family's dense fallback applies, consulting
@@ -48,12 +48,19 @@
 // A forced simd mode (rule 1 or 2) on a machine or build without the SIMD
 // tier degrades to naive — always safe because int8 simd is bit-identical
 // and fp32 simd is opt-in; AXSNN_SIMD=off therefore exercises the scalar
-// fallback everywhere without touching results.
+// fallback everywhere without touching results. All four rules and the
+// degrade are made in one place, PlanKernel, which every dispatcher calls.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
+
+#include "kernels/cpu_features.hpp"
+
+namespace axsnn::runtime {
+class Workspace;
+}  // namespace axsnn::runtime
 
 namespace axsnn::kernels {
 
@@ -66,9 +73,16 @@ const char* KernelModeName(KernelMode mode);
 /// Inverse of KernelModeName; nullopt for unknown names.
 std::optional<KernelMode> ParseKernelMode(std::string_view name);
 
-/// Process-global mode, initialized once from the AXSNN_KERNEL_MODE
-/// environment variable (unset / unparsable -> kAuto). A non-auto global
-/// mode overrides every per-layer setting (precedence rule 1 above).
+/// Parses an AXSNN_KERNEL_MODE value (nullptr = unset = kAuto). Any other
+/// value must be a KernelModeName spelling: an empty, miscased or unknown
+/// one throws std::invalid_argument naming the variable, the value and the
+/// accepted spellings, so a typo never silently runs the auto path.
+KernelMode KernelModeFromEnv(const char* value);
+
+/// Process-global mode, initialized on first use from the AXSNN_KERNEL_MODE
+/// environment variable (KernelModeFromEnv: an unknown value throws from
+/// that first use). A non-auto global mode overrides every per-layer
+/// setting (precedence rule 1 above).
 KernelMode GlobalKernelMode();
 
 /// Overrides the global mode at runtime (tests, benchmarks). Not
@@ -154,8 +168,39 @@ KernelMode ResolveKernelMode(KernelMode requested);
 KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
                            KernelMode dense_fallback);
 
-/// Workspace slot map shared by the kernel implementations. Each Conv2d /
-/// Dense layer owns one scratch Workspace (runtime::LocalScratch), so slot
+/// The weight-kernel families: layer type x weight precision.
+enum class KernelFamily { kConvF32, kDenseF32, kConvI8, kDenseI8 };
+
+/// Rules 3-4 and the simd degrade of one call, as a pure function: `mode`
+/// is the call's mode after rule 1, `density` the input's nonzero fraction
+/// (read for kAuto only), `tier` the active SIMD tier. Each family's sparse
+/// threshold and dense fallback come from one four-row table (dispatch.cpp,
+/// DESIGN.md "Dispatch heuristics"); the int8 rows depend on the tier.
+KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
+                            float density, SimdTier tier);
+
+/// What one kernel call runs: the mode, the SIMD tier it was decided for,
+/// and the input's spike words whenever the decision built or received
+/// them (always for kSparse; spike_words layout, one row per sample).
+struct KernelPlan {
+  KernelMode mode = KernelMode::kNaive;
+  SimdTier tier = SimdTier::kScalar;
+  const std::uint64_t* words = nullptr;
+};
+
+/// The whole decision for one weight-kernel call over `n_samples` rows of
+/// `sample_len` elements at `x` (float activations, or the int8 backend's
+/// int32/int8 codes): rule 1 (ResolveKernelMode); for kAuto and kSparse
+/// the spike words, taken from `packed` or packed into `scratch` (slot
+/// slots::kWords); then DecideKernelMode with their density and
+/// ActiveSimdTier().
+template <typename T>
+KernelPlan PlanKernel(KernelFamily family, KernelMode requested, const T* x,
+                      long n_samples, long sample_len,
+                      runtime::Workspace& scratch, const PackedWords* packed);
+
+/// Workspace slot map shared by the kernel implementations. Each
+/// WeightLayer owns one scratch Workspace (runtime::LocalScratch), so slot
 /// indices only need to be unique within one layer's kernel calls.
 namespace slots {
 // float slots (Workspace::Acquire)

@@ -1,7 +1,6 @@
 #include "snn/conv2d.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "approx/int8_backend.hpp"
 #include "kernels/conv2d_kernels.hpp"
@@ -12,7 +11,7 @@ namespace axsnn::snn {
 
 Conv2d::Conv2d(std::string name, long in_channels, long out_channels,
                long kernel, long pad, Rng& rng)
-    : name_(std::move(name)),
+    : WeightLayer(std::move(name)),
       in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_(kernel),
@@ -20,14 +19,7 @@ Conv2d::Conv2d(std::string name, long in_channels, long out_channels,
   AXSNN_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0,
               "Conv2d dimensions must be positive");
   AXSNN_CHECK(pad >= 0 && pad < kernel, "Conv2d pad must be in [0, kernel)");
-  const float fan_in =
-      static_cast<float>(in_channels * kernel * kernel);
-  const float bound = std::sqrt(6.0f / fan_in);  // Kaiming-uniform
-  weight_ = Tensor::Uniform({out_channels, in_channels, kernel, kernel},
-                            -bound, bound, rng);
-  bias_ = Tensor::Zeros({out_channels});
-  dweight_ = Tensor::Zeros(weight_.shape());
-  dbias_ = Tensor::Zeros(bias_.shape());
+  InitWeights({out_channels, in_channels, kernel, kernel}, rng);
 }
 
 Shape Conv2d::OutputShape(const Shape& in) const {
@@ -37,8 +29,8 @@ Shape Conv2d::OutputShape(const Shape& in) const {
   const long h = in[r - 2];
   const long w = in[r - 1];
   AXSNN_CHECK(c_in == in_channels_,
-              "Conv2d " << name_ << ": got " << c_in << " input channels, want "
-                        << in_channels_);
+              "Conv2d " << Name() << ": got " << c_in
+                        << " input channels, want " << in_channels_);
   const long h_out = h + 2 * pad_ - kernel_ + 1;
   const long w_out = w + 2 * pad_ - kernel_ + 1;
   AXSNN_CHECK(h_out > 0 && w_out > 0, "Conv2d output would be empty");
@@ -49,99 +41,27 @@ Shape Conv2d::OutputShape(const Shape& in) const {
   return out_shape;
 }
 
-void Conv2d::EnableInt8Kernel(std::span<const float> row_scales) {
-  qweight_ = QuantizedTensor::FromWeights(weight_, row_scales);
+long Conv2d::SampleLength(const Tensor& x) const {
+  const std::size_t r = x.rank();
+  return x.dim(r - 3) * x.dim(r - 2) * x.dim(r - 1);
 }
 
-void Conv2d::ForwardInto(const Tensor& x, Tensor& out, bool train) {
-  SizeOutput(x, out);
-  if (train || grad_cache()) {
-    cached_input_ = x;  // vector copy-assign: reuses capacity in steady state
-  } else {
-    // Invalidate, don't just skip: a stale cache from an earlier training
-    // pass would let Backward silently differentiate the wrong activations
-    // instead of throwing.
-    cached_input_ = Tensor();
-  }
+void Conv2d::RunKernel(const Tensor& x, Tensor& out,
+                       const kernels::PackedWords* packed) {
   const kernels::Conv2dGeom geom{in_channels_, out_channels_, kernel_, pad_};
-  if (!qweight_.empty()) {
-    approx::Int8Conv2dForward(qweight_, bias_, x, out, geom, kernel_mode_,
-                              *scratch_);
+  if (int8_kernel()) {
+    approx::Int8Conv2dForward(quantized_weight(), bias(), x, out, geom,
+                              kernel_mode(), scratch(), packed);
     return;
   }
-  kernels::Conv2dForward(weight_, bias_, x, out, geom, kernel_mode_,
-                         *scratch_);
-}
-
-void Conv2d::BeginStepped(long time_steps, long batch) {
-  (void)time_steps;
-  (void)batch;
-  silent_filled_ = false;
-}
-
-void Conv2d::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-  SizeOutput(x, out);
-  cached_input_ = Tensor();  // stepped runs never feed Backward
-  if (ctx.out != nullptr) ctx.out->Invalidate();  // conv output is dense
-
-  const std::size_t xr = x.rank();
-  const long x_sample = x.dim(xr - 3) * x.dim(xr - 2) * x.dim(xr - 1);
-  // The packed rows are usable by the kernels only when the lane's plane
-  // length equals the per-sample element count (word-row padding must line
-  // up); the silent check only needs the element counts to match.
-  const bool mask_covers =
-      ctx.in.valid() && ctx.in.batch * ctx.in.plane == x.numel();
-  const bool mask_usable = mask_covers && ctx.in.plane == x_sample;
-  if (mask_covers && ctx.in.total == 0) {
-    // Skip-on-silent: on an all-zero input every kernel mode produces the
-    // pure bias planes (the sparse path's zero-gather result, inside the
-    // pinned equivalence contract), so write them directly — and if the
-    // previous step already left them in this buffer, skip even the fill.
-    if (ctx.kernel_calls_skipped != nullptr) ++*ctx.kernel_calls_skipped;
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    const std::size_t r = out.rank();
-    const long o_plane = out.dim(r - 2) * out.dim(r - 1);
-    const long n = out.numel() / (out_channels_ * o_plane);
-    const float* bd = bias_.data();
-    float* od = out.data();
-    for (long s = 0; s < n; ++s) {
-      for (long co = 0; co < out_channels_; ++co) {
-        float* op = od + (s * out_channels_ + co) * o_plane;
-        std::fill(op, op + o_plane, bd[co]);
-      }
-    }
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
-    return;
-  }
-  silent_filled_ = false;
-  if (ctx.kernel_calls != nullptr) ++*ctx.kernel_calls;
-
-  kernels::PackedWords packed;
-  const kernels::PackedWords* packed_p = nullptr;
-  if (mask_usable) {
-    packed.words = ctx.in.words;
-    packed.nonzero = ctx.in.total;
-    packed_p = &packed;
-  }
-  const kernels::Conv2dGeom geom{in_channels_, out_channels_, kernel_, pad_};
-  if (!qweight_.empty()) {
-    approx::Int8Conv2dForward(qweight_, bias_, x, out, geom, kernel_mode_,
-                              *scratch_, packed_p);
-    return;
-  }
-  kernels::Conv2dForward(weight_, bias_, x, out, geom, kernel_mode_,
-                         *scratch_, packed_p);
+  kernels::Conv2dForward(weight(), bias(), x, out, geom, kernel_mode(),
+                         scratch(), packed);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
-  AXSNN_CHECK(!cached_input_.empty(),
+  AXSNN_CHECK(!cached_input().empty(),
               "Conv2d::Backward called before Forward");
-  const Tensor& x = cached_input_;
+  const Tensor& x = cached_input();
   const std::size_t r = x.rank();
   const long c_in = x.dim(r - 3);
   const long h = x.dim(r - 2);
@@ -155,11 +75,11 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   Tensor grad_in(x.shape());
 
   const float* xd = x.data();
-  const float* wd = weight_.data();
+  const float* wd = weight().data();
   const float* gd = grad_out.data();
   float* gid = grad_in.data();
-  float* gwd = dweight_.data();
-  float* gbd = dbias_.data();
+  float* gwd = dweight().data();
+  float* gbd = dbias().data();
 
   const long x_plane = h * w;
   const long x_sample = c_in * x_plane;
@@ -168,7 +88,7 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   const long w_per_out = in_channels_ * kernel_ * kernel_;
 
   // Weight/bias gradients: parallelize over output channels so each
-  // iteration owns a disjoint slice of dweight_/dbias_ (no atomics needed).
+  // iteration owns a disjoint slice of dweight/dbias (no atomics needed).
   // The inner loop over ox is a contiguous dot product between a gradient
   // row and a shifted input row.
   runtime::ParallelFor(0, out_channels_, [&](long co) {
@@ -235,10 +155,6 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-std::unique_ptr<Layer> Conv2d::Clone() const {
-  auto copy = std::make_unique<Conv2d>(*this);
-  copy->cached_input_ = Tensor();  // drop activation cache (kernel scratch
-  return copy;                     // starts fresh by LocalScratch copy);
-}                                  // qweight_ is kept
+std::unique_ptr<Layer> Conv2d::Clone() const { return CloneAs<Conv2d>(); }
 
 }  // namespace axsnn::snn

@@ -7,24 +7,16 @@
 // input-space adversarial attacks.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "kernels/dispatch.hpp"
-#include "runtime/workspace.hpp"
-#include "snn/layer.hpp"
-#include "tensor/quantized.hpp"
-#include "tensor/random.hpp"
-#include "tensor/tensor.hpp"
+#include "snn/weight_layer.hpp"
 
 namespace axsnn::snn {
 
 /// Convolution over [*, C_in, H, W] -> [*, C_out, H_out, W_out] where * is
 /// the flattened [T, B] prefix. Weights are [C_out, C_in, K, K].
-class Conv2d final : public Layer {
+class Conv2d final : public WeightLayer {
  public:
   /// Creates a convolution with Kaiming-uniform initialized weights.
   /// `pad` is symmetric zero padding (K=3, pad=1 keeps H, W unchanged).
@@ -32,75 +24,27 @@ class Conv2d final : public Layer {
          long pad, Rng& rng);
 
   Shape OutputShape(const Shape& in) const override;
-  void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: skip-on-silent (pure bias planes, cached across
-  /// consecutive silent steps into the same buffer) and packed-word
-  /// pass-through to the kernel dispatcher (kernels::PackedWords).
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  void BeginStepped(long time_steps, long batch) override;
   Tensor Backward(const Tensor& grad_out) override;
-  std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
-  std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
 
   long in_channels() const { return in_channels_; }
   long out_channels() const { return out_channels_; }
   long kernel() const { return kernel_; }
-
-  /// Direct weight access for quantization / approximation passes.
-  Tensor& weight() { return weight_; }
-  const Tensor& weight() const { return weight_; }
-  Tensor& bias() { return bias_; }
-  const Tensor& bias() const { return bias_; }
-
-  /// Switches ForwardInto to the integer backend (approx/int8_backend.*):
-  /// snapshots the *current* weights as int8 with per-output-channel scales
-  /// (`row_scales`; empty derives them rowwise as max|row| / 127) and runs
-  /// int32-accumulating kernels from then on. Call after the last weight
-  /// edit — later mutations of weight() are not re-quantized. Backward still
-  /// differentiates the float weights (attacks are crafted on the accurate
-  /// model, so the int8 path only ever runs forward).
-  void EnableInt8Kernel(std::span<const float> row_scales = {});
-  /// Returns to the float forward path.
-  void DisableInt8Kernel() { qweight_ = QuantizedTensor(); }
-  bool int8_kernel() const { return !qweight_.empty(); }
-  const QuantizedTensor& quantized_weight() const { return qweight_; }
-  /// Mutable snapshot access for the fault injector (src/faults/), which
-  /// flips bits of the stored int8 codes / scale words in place. The next
-  /// forward reads the corrupted snapshot directly.
-  QuantizedTensor& quantized_weight() { return qweight_; }
-
-  /// Bulk weight reload: the int8 snapshot no longer matches — drop it
-  /// (callers re-enable if they still want integer execution).
-  void OnWeightsChanged() override { DisableInt8Kernel(); }
-
-  /// Kernel-implementation knob (src/kernels/): kAuto probes activation
-  /// density per call, the other values pin one path. A non-auto global
-  /// mode (AXSNN_KERNEL_MODE) overrides this — see kernels/dispatch.hpp.
-  void set_kernel_mode(kernels::KernelMode mode) { kernel_mode_ = mode; }
-  kernels::KernelMode kernel_mode() const { return kernel_mode_; }
+  long fan_in() const override { return in_channels_ * kernel_ * kernel_; }
+  long fan_out() const override { return out_channels_ * kernel_ * kernel_; }
 
  private:
-  std::string name_;
+  void RunKernel(const Tensor& x, Tensor& out,
+                 const kernels::PackedWords* packed) override;
+  void SizeStepOutput(const Tensor& x, Tensor& out) override {
+    SizeOutput(x, out);
+  }
+  long SampleLength(const Tensor& x) const override;
+
   long in_channels_ = 0;
   long out_channels_ = 0;
   long kernel_ = 0;
   long pad_ = 0;
-  Tensor weight_;   // [C_out, C_in, K, K]
-  Tensor bias_;     // [C_out]
-  Tensor dweight_;
-  Tensor dbias_;
-  Tensor cached_input_;  // saved activation for Backward
-  QuantizedTensor qweight_;  // int8 backend weights (empty = off)
-  kernels::KernelMode kernel_mode_ = kernels::KernelMode::kAuto;
-  runtime::LocalScratch scratch_;  // kernel packing/code buffers (not copied)
-  // Silent-fill cache for the stepped path: consecutive silent steps write
-  // the same bias planes into the same buffer, so only the first pays the
-  // fill. Reset by BeginStepped and any non-silent step.
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
 };
 
 }  // namespace axsnn::snn

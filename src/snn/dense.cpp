@@ -1,7 +1,5 @@
 #include "snn/dense.hpp"
 
-#include <cmath>
-
 #include "approx/int8_backend.hpp"
 #include "kernels/dense_kernels.hpp"
 #include "runtime/parallel_for.hpp"
@@ -10,16 +8,12 @@
 namespace axsnn::snn {
 
 Dense::Dense(std::string name, long in_features, long out_features, Rng& rng)
-    : name_(std::move(name)),
+    : WeightLayer(std::move(name)),
       in_features_(in_features),
       out_features_(out_features) {
   AXSNN_CHECK(in_features > 0 && out_features > 0,
               "Dense dimensions must be positive");
-  const float bound = std::sqrt(6.0f / static_cast<float>(in_features));
-  weight_ = Tensor::Uniform({out_features, in_features}, -bound, bound, rng);
-  bias_ = Tensor::Zeros({out_features});
-  dweight_ = Tensor::Zeros(weight_.shape());
-  dbias_ = Tensor::Zeros(bias_.shape());
+  InitWeights({out_features, in_features}, rng);
 }
 
 Shape Dense::OutputShape(const Shape& in) const {
@@ -28,7 +22,7 @@ Shape Dense::OutputShape(const Shape& in) const {
   // Accept [*, C, H, W] inputs too: anything after the [T, B] prefix is
   // flattened into features. We infer the prefix length from divisibility.
   AXSNN_CHECK(numel % in_features_ == 0,
-              "Dense " << name_ << ": input numel " << numel
+              "Dense " << Name() << ": input numel " << numel
                        << " not divisible by in_features " << in_features_);
   const long n = numel / in_features_;
   // Output keeps the [T, B] prefix when present, else collapses to [n, F].
@@ -40,99 +34,41 @@ Shape Dense::OutputShape(const Shape& in) const {
   return {n, out_features_};
 }
 
-void Dense::EnableInt8Kernel(std::span<const float> row_scales) {
-  qweight_ = QuantizedTensor::FromWeights(weight_, row_scales);
-}
-
-void Dense::ForwardInto(const Tensor& x, Tensor& out, bool train) {
-  SizeOutput(x, out);
-  if (train || grad_cache()) {
-    cached_input_ = x;
-  } else {
-    cached_input_ = Tensor();  // invalidate: Backward must throw, not
-  }                            // reuse a stale training-pass input
-  if (!qweight_.empty()) {
-    approx::Int8DenseForward(qweight_, bias_, x, out, kernel_mode_,
-                             *scratch_);
-    return;
-  }
-  kernels::DenseForward(weight_, bias_, x, out, kernel_mode_, *scratch_);
-}
-
-void Dense::BeginStepped(long time_steps, long batch) {
-  (void)time_steps;
-  (void)batch;
-  silent_filled_ = false;
-}
-
-void Dense::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
+void Dense::SizeStepOutput(const Tensor& x, Tensor& out) {
   AXSNN_CHECK(x.numel() % in_features_ == 0,
-              "Dense " << name_ << ": step input numel " << x.numel()
+              "Dense " << Name() << ": step input numel " << x.numel()
                        << " not divisible by in_features " << in_features_);
-  const long n = x.numel() / in_features_;
-  out.ResizeTo({n, out_features_});
-  cached_input_ = Tensor();  // stepped runs never feed Backward
-  if (ctx.out != nullptr) ctx.out->Invalidate();  // dense output is dense
+  out.ResizeTo({x.numel() / in_features_, out_features_});
+}
 
-  // The packed rows are usable by the kernels only when the lane's plane
-  // length equals the kernel's per-sample feature count (word-row padding
-  // must line up); the silent check only needs the element counts to match.
-  const bool mask_covers =
-      ctx.in.valid() && ctx.in.batch * ctx.in.plane == x.numel();
-  const bool mask_usable = mask_covers && ctx.in.plane == in_features_;
-  if (mask_covers && ctx.in.total == 0) {
-    // Skip-on-silent: pure bias rows (the sparse path's zero-gather result).
-    if (ctx.kernel_calls_skipped != nullptr) ++*ctx.kernel_calls_skipped;
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    const float* bd = bias_.data();
-    float* od = out.data();
-    for (long s = 0; s < n; ++s) {
-      float* os = od + s * out_features_;
-      for (long o = 0; o < out_features_; ++o) os[o] = bd[o];
-    }
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
+void Dense::RunKernel(const Tensor& x, Tensor& out,
+                      const kernels::PackedWords* packed) {
+  if (int8_kernel()) {
+    approx::Int8DenseForward(quantized_weight(), bias(), x, out,
+                             kernel_mode(), scratch(), packed);
     return;
   }
-  silent_filled_ = false;
-  if (ctx.kernel_calls != nullptr) ++*ctx.kernel_calls;
-
-  kernels::PackedWords packed;
-  const kernels::PackedWords* packed_p = nullptr;
-  if (mask_usable) {
-    packed.words = ctx.in.words;
-    packed.nonzero = ctx.in.total;
-    packed_p = &packed;
-  }
-  if (!qweight_.empty()) {
-    approx::Int8DenseForward(qweight_, bias_, x, out, kernel_mode_, *scratch_,
-                             packed_p);
-    return;
-  }
-  kernels::DenseForward(weight_, bias_, x, out, kernel_mode_, *scratch_,
-                        packed_p);
+  kernels::DenseForward(weight(), bias(), x, out, kernel_mode(), scratch(),
+                        packed);
 }
 
 Tensor Dense::Backward(const Tensor& grad_out) {
-  AXSNN_CHECK(!cached_input_.empty(), "Dense::Backward called before Forward");
-  const Tensor& x = cached_input_;
+  AXSNN_CHECK(!cached_input().empty(),
+              "Dense::Backward called before Forward");
+  const Tensor& x = cached_input();
   const long n = x.numel() / in_features_;
   AXSNN_CHECK(grad_out.numel() == n * out_features_,
               "Dense::Backward gradient shape mismatch");
 
   Tensor grad_in(x.shape());
   const float* xd = x.data();
-  const float* wd = weight_.data();
+  const float* wd = weight().data();
   const float* gd = grad_out.data();
   float* gid = grad_in.data();
-  float* gwd = dweight_.data();
-  float* gbd = dbias_.data();
+  float* gwd = dweight().data();
+  float* gbd = dbias().data();
 
-  // dW/db: each iteration owns one output row of dweight_.
+  // dW/db: each iteration owns one output row of dweight.
   runtime::ParallelFor(0, out_features_, [&](long o) {
     float* gw = gwd + o * in_features_;
     double gb = 0.0;
@@ -160,10 +96,6 @@ Tensor Dense::Backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-std::unique_ptr<Layer> Dense::Clone() const {
-  auto copy = std::make_unique<Dense>(*this);
-  copy->cached_input_ = Tensor();  // kernel scratch starts fresh by
-  return copy;                     // LocalScratch copy; qweight_ is kept
-}
+std::unique_ptr<Layer> Dense::Clone() const { return CloneAs<Dense>(); }
 
 }  // namespace axsnn::snn

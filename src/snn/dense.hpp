@@ -5,86 +5,41 @@
 // step; Backward sums parameter gradients over time.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "kernels/dispatch.hpp"
-#include "runtime/workspace.hpp"
-#include "snn/layer.hpp"
-#include "tensor/quantized.hpp"
-#include "tensor/random.hpp"
-#include "tensor/tensor.hpp"
+#include "snn/weight_layer.hpp"
 
 namespace axsnn::snn {
 
 /// Fully-connected (linear) layer. Weights are [F_out, F_in].
-class Dense final : public Layer {
+class Dense final : public WeightLayer {
  public:
   /// Creates a dense layer with Kaiming-uniform initialized weights.
   Dense(std::string name, long in_features, long out_features, Rng& rng);
 
   Shape OutputShape(const Shape& in) const override;
-  void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: skip-on-silent (pure bias rows, cached across
-  /// consecutive silent steps) and packed-word pass-through. Sizes out to
-  /// [B, F_out] itself — the step batch has no [T, B] prefix, so the
-  /// OutputShape prefix check does not apply.
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  void BeginStepped(long time_steps, long batch) override;
   Tensor Backward(const Tensor& grad_out) override;
-  std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
-  std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
 
   long in_features() const { return in_features_; }
   long out_features() const { return out_features_; }
-
-  Tensor& weight() { return weight_; }
-  const Tensor& weight() const { return weight_; }
-  Tensor& bias() { return bias_; }
-  const Tensor& bias() const { return bias_; }
-
-  /// Switches ForwardInto to the integer backend; same contract as
-  /// Conv2d::EnableInt8Kernel (snapshot current weights, per-output-channel
-  /// scales, int32 accumulation; Backward keeps using the float weights).
-  void EnableInt8Kernel(std::span<const float> row_scales = {});
-  /// Returns to the float forward path.
-  void DisableInt8Kernel() { qweight_ = QuantizedTensor(); }
-  bool int8_kernel() const { return !qweight_.empty(); }
-  const QuantizedTensor& quantized_weight() const { return qweight_; }
-  /// Mutable snapshot access for the fault injector (src/faults/); same
-  /// contract as Conv2d::quantized_weight().
-  QuantizedTensor& quantized_weight() { return qweight_; }
-
-  /// Bulk weight reload: the int8 snapshot no longer matches — drop it
-  /// (callers re-enable if they still want integer execution).
-  void OnWeightsChanged() override { DisableInt8Kernel(); }
-
-  /// Kernel-implementation knob (src/kernels/); same contract as
-  /// Conv2d::set_kernel_mode.
-  void set_kernel_mode(kernels::KernelMode mode) { kernel_mode_ = mode; }
-  kernels::KernelMode kernel_mode() const { return kernel_mode_; }
+  long fan_in() const override { return in_features_; }
+  long fan_out() const override { return out_features_; }
 
  private:
-  std::string name_;
+  void RunKernel(const Tensor& x, Tensor& out,
+                 const kernels::PackedWords* packed) override;
+  /// Sizes out to [B, F_out]: the step batch has no [T, B] prefix, so the
+  /// OutputShape prefix check does not apply.
+  void SizeStepOutput(const Tensor& x, Tensor& out) override;
+  long SampleLength(const Tensor& x) const override {
+    (void)x;
+    return in_features_;
+  }
+
   long in_features_ = 0;
   long out_features_ = 0;
-  Tensor weight_;   // [F_out, F_in]
-  Tensor bias_;     // [F_out]
-  Tensor dweight_;
-  Tensor dbias_;
-  Tensor cached_input_;
-  QuantizedTensor qweight_;  // int8 backend weights (empty = off)
-  kernels::KernelMode kernel_mode_ = kernels::KernelMode::kAuto;
-  runtime::LocalScratch scratch_;  // kernel packing/code buffers (not copied)
-  // Silent-fill cache for the stepped path (see Conv2d).
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
 };
 
 }  // namespace axsnn::snn

@@ -48,7 +48,7 @@ void Dropout::ForwardInto(const Tensor& x, Tensor& out, bool train) {
 void Dropout::BeginStepped(long time_steps, long batch) {
   (void)time_steps;
   (void)batch;
-  silent_filled_ = false;
+  silent_.Reset();
 }
 
 void Dropout::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
@@ -63,17 +63,12 @@ void Dropout::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
     // Inference dropout is the identity; a silent input copies to zeros.
     if (lane_fits) ctx.out->ZeroFill();
     else if (ctx.out != nullptr) ctx.out->Invalidate();
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    std::fill(out.data(), out.data() + out.numel(), 0.0f);
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
+    silent_.Apply(out, [&] {
+      std::fill(out.data(), out.data() + out.numel(), 0.0f);
+    });
     return;
   }
-  silent_filled_ = false;
+  silent_.Reset();
   std::copy(x.data(), x.data() + x.numel(), out.data());
   if (ctx.out == nullptr) return;
   if (lane_fits && mask_covers && ctx.out->batch() == ctx.in.batch &&

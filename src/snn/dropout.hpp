@@ -42,10 +42,7 @@ class Dropout final : public Layer {
   Rng rng_;
   Tensor mask_;  // [B, F...] scaled keep mask from the last training forward
   bool last_was_train_ = false;
-  // Silent-fill cache for the stepped path (see Conv2d).
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
+  SilentFill silent_;  // stepped path: zero planes written once per run
 };
 
 }  // namespace axsnn::snn

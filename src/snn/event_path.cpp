@@ -2,17 +2,15 @@
 
 #include <cstdlib>
 
+#include "snn/network.hpp"
+#include "tensor/check.hpp"
+
 namespace axsnn::snn {
 namespace {
 
-EventPathMode InitialGlobalMode() {
-  const char* env = std::getenv("AXSNN_EVENT_PATH");
-  if (env == nullptr) return EventPathMode::kAuto;
-  return ParseEventPathMode(env).value_or(EventPathMode::kAuto);
-}
-
 EventPathMode& GlobalModeRef() {
-  static EventPathMode mode = InitialGlobalMode();
+  static EventPathMode mode =
+      EventPathModeFromEnv(std::getenv("AXSNN_EVENT_PATH"));
   return mode;
 }
 
@@ -37,6 +35,15 @@ std::optional<EventPathMode> ParseEventPathMode(std::string_view name) {
   return std::nullopt;
 }
 
+EventPathMode EventPathModeFromEnv(const char* value) {
+  if (value == nullptr) return EventPathMode::kAuto;
+  const std::optional<EventPathMode> mode = ParseEventPathMode(value);
+  AXSNN_CHECK(mode.has_value(),
+              "AXSNN_EVENT_PATH must be one of auto, dense, event, off, on; "
+              "got \"" << value << "\"");
+  return *mode;
+}
+
 EventPathMode GlobalEventPathMode() { return GlobalModeRef(); }
 
 void SetGlobalEventPathMode(EventPathMode mode) { GlobalModeRef() = mode; }
@@ -46,6 +53,11 @@ EventPathMode ResolveEventPathMode(EventPathMode requested) {
   if (global != EventPathMode::kAuto) return global;
   if (requested != EventPathMode::kAuto) return requested;
   return EventPathMode::kDense;
+}
+
+bool UsesEventPath(const Network& net) {
+  return !net.has_post_layer_hook() &&
+         ResolveEventPathMode(net.event_path()) == EventPathMode::kEvent;
 }
 
 }  // namespace axsnn::snn

@@ -35,6 +35,8 @@
 
 namespace axsnn::snn {
 
+class Network;
+
 /// Temporal execution selector; kAuto defers to the dense reference.
 enum class EventPathMode { kAuto, kDense, kEvent };
 
@@ -45,9 +47,16 @@ const char* EventPathName(EventPathMode mode);
 /// and "off" (dense). nullopt for unknown names.
 std::optional<EventPathMode> ParseEventPathMode(std::string_view name);
 
-/// Process-global mode, initialized once from the AXSNN_EVENT_PATH
-/// environment variable (unset / unparsable -> kAuto). A non-auto global
-/// mode overrides every config setting (precedence rule 1 above).
+/// Parses an AXSNN_EVENT_PATH value (nullptr = unset = kAuto). Any other
+/// value must be a ParseEventPathMode spelling: an empty, miscased or
+/// unknown one throws std::invalid_argument naming the variable, the value
+/// and the accepted spellings, so a typo never silently runs the default.
+EventPathMode EventPathModeFromEnv(const char* value);
+
+/// Process-global mode, initialized on first use from the AXSNN_EVENT_PATH
+/// environment variable (EventPathModeFromEnv: an unknown value throws from
+/// that first use). A non-auto global mode overrides every config setting
+/// (precedence rule 1 above).
 EventPathMode GlobalEventPathMode();
 
 /// Overrides the global mode at runtime (tests, benchmarks). Not
@@ -73,5 +82,10 @@ class ScopedEventPathMode {
 /// Applies the precedence rules: a non-auto global mode wins over
 /// `requested`; kAuto resolves to kDense (the reference path).
 EventPathMode ResolveEventPathMode(EventPathMode requested);
+
+/// The one event-vs-dense test of every temporal evaluation: true when
+/// `net` has no post-layer (fault) hook — hooks fire on the dense chain
+/// only — and its event_path() resolves to kEvent.
+bool UsesEventPath(const Network& net);
 
 }  // namespace axsnn::snn

@@ -53,10 +53,7 @@ Tensor LogitsStatic(Network& net, const Tensor& images, long time_steps,
 
 Tensor LogitsTemporal(Network& net, const Tensor& frames) {
   AXSNN_CHECK(frames.rank() == 5, "LogitsTemporal expects [B, T, C, H, W]");
-  // A post-layer (fault) hook only fires on the dense ForwardInto chain, so
-  // a hooked network must not ride the event runner — fall back to dense.
-  if (!net.has_post_layer_hook() &&
-      ResolveEventPathMode(net.event_path()) == EventPathMode::kEvent) {
+  if (UsesEventPath(net)) {
     kernels::SpikeStream stream;
     if (TimeMajorPackInto(frames, stream)) {
       EventRunner runner(net);
@@ -105,9 +102,7 @@ std::vector<int> PredictTemporal(Network& net, const Tensor& frames,
   // runner instead — identical chunk boundaries, bit-identical logits, so
   // predictions match the dense loop exactly. Stream and runner storage is
   // reused across batches.
-  const bool use_event =
-      !net.has_post_layer_hook() &&  // hooks fire on the dense chain only
-      ResolveEventPathMode(net.event_path()) == EventPathMode::kEvent;
+  const bool use_event = UsesEventPath(net);
   kernels::SpikeStream stream;
   std::optional<EventRunner> runner;
   if (use_event) runner.emplace(net);

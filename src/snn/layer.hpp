@@ -123,6 +123,30 @@ class SpikePlanes {
   std::vector<std::int32_t> counts_;
 };
 
+/// Silent-fill cache for the stepped path: a layer whose output on a silent
+/// step is a constant pattern (bias planes, zeros) writes it once, and
+/// consecutive silent steps into the same buffer skip the rewrite. Reset at
+/// BeginStepped and on every non-silent step.
+class SilentFill {
+ public:
+  void Reset() { filled_ = false; }
+
+  /// Runs `fill` unless `out` still holds the previous silent step's fill.
+  template <typename Fill>
+  void Apply(Tensor& out, Fill&& fill) {
+    if (filled_ && data_ == out.data() && numel_ == out.numel()) return;
+    fill();
+    filled_ = true;
+    data_ = out.data();
+    numel_ = out.numel();
+  }
+
+ private:
+  bool filled_ = false;
+  const float* data_ = nullptr;
+  long numel_ = 0;
+};
+
 /// Per-timestep forward context for the event-driven path (EventRunner).
 struct StepContext {
   long t = 0;           ///< current timestep, 0-based

@@ -112,8 +112,8 @@ class Network {
   /// state, not model state: Clone() does NOT copy it (a clone restarts
   /// fault-free) and StateDict() never sees it. The hook fires on the
   /// dense path only; the temporal dispatchers fall back to dense when one
-  /// is installed (snn/inference.cpp, core/workbench.cpp) so the corruption
-  /// is never silently skipped by the event path.
+  /// is installed (snn::UsesEventPath) so the corruption is never silently
+  /// skipped by the event path.
   using PostLayerHook = std::function<void(std::size_t layer, Tensor& act)>;
   void set_post_layer_hook(PostLayerHook hook) {
     post_layer_hook_ = std::move(hook);

@@ -72,7 +72,7 @@ void AvgPool2d::ForwardInto(const Tensor& x, Tensor& out, bool /*train*/) {
 void AvgPool2d::BeginStepped(long time_steps, long batch) {
   (void)time_steps;
   (void)batch;
-  silent_filled_ = false;
+  silent_.Reset();
 }
 
 void AvgPool2d::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
@@ -87,17 +87,12 @@ void AvgPool2d::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
     // Silent step: every window sum is +0.0f and +0 * inv stays +0.0f, so
     // the dense path's output is exactly zero — fill it without reading x.
     if (ctx.out != nullptr) ctx.out->ZeroFill();
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    std::fill(out.data(), out.data() + out.numel(), 0.0f);
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
+    silent_.Apply(out, [&] {
+      std::fill(out.data(), out.data() + out.numel(), 0.0f);
+    });
     return;
   }
-  silent_filled_ = false;
+  silent_.Reset();
 
   const long ho = h / window_;
   const long wo = w / window_;

@@ -39,10 +39,7 @@ class AvgPool2d final : public Layer {
   std::string name_;
   long window_ = 2;
   Shape cached_in_shape_;
-  // Silent-fill cache for the stepped path (see Conv2d).
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
+  SilentFill silent_;  // stepped path: zero planes written once per run
 };
 
 /// Non-overlapping max pooling with a square window.

@@ -6,6 +6,8 @@
 // path reorders no arithmetic, so == is the contract, not a tolerance.
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,6 +168,47 @@ TEST(EventPathMode, ParsesEnvSpellings) {
   EXPECT_EQ(ParseEventPathMode("on"), EventPathMode::kEvent);
   EXPECT_EQ(ParseEventPathMode("off"), EventPathMode::kDense);
   EXPECT_EQ(ParseEventPathMode("bogus"), std::nullopt);
+}
+
+TEST(EventPathMode, EnvValuesAreStrict) {
+  using snn::EventPathModeFromEnv;
+  EXPECT_EQ(EventPathModeFromEnv(nullptr), EventPathMode::kAuto);  // unset
+  EXPECT_EQ(EventPathModeFromEnv("auto"), EventPathMode::kAuto);
+  EXPECT_EQ(EventPathModeFromEnv("dense"), EventPathMode::kDense);
+  EXPECT_EQ(EventPathModeFromEnv("off"), EventPathMode::kDense);
+  EXPECT_EQ(EventPathModeFromEnv("event"), EventPathMode::kEvent);
+  EXPECT_EQ(EventPathModeFromEnv("on"), EventPathMode::kEvent);
+  // Empty, wrong case and trailing garbage are errors, never a silent auto.
+  for (const char* bad : {"", "ON", "Event", "yes", "1", "on ", "eventt"}) {
+    try {
+      EventPathModeFromEnv(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("AXSNN_EVENT_PATH"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("auto, dense, event, off, on"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(EventPathMode, UsesEventPathNeedsEventModeAndNoHook) {
+  snn::Network net;
+  ScopedEventPathMode neutral(EventPathMode::kAuto);
+  EXPECT_FALSE(snn::UsesEventPath(net));  // auto resolves to dense
+  net.set_event_path(EventPathMode::kEvent);
+  EXPECT_TRUE(snn::UsesEventPath(net));
+  {
+    ScopedEventPathMode forced(EventPathMode::kDense);
+    EXPECT_FALSE(snn::UsesEventPath(net));  // the global override wins
+  }
+  // A post-layer hook fires on the dense chain only, so it forces dense.
+  net.set_post_layer_hook([](std::size_t, Tensor&) {});
+  EXPECT_FALSE(snn::UsesEventPath(net));
+  ScopedEventPathMode forced(EventPathMode::kEvent);
+  EXPECT_FALSE(snn::UsesEventPath(net));
 }
 
 TEST(EventPathMode, GlobalOverridesConfigAutoResolvesDense) {

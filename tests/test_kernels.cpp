@@ -21,6 +21,8 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +36,7 @@
 #include "kernels/cpu_features.hpp"
 #include "kernels/dense_kernels.hpp"
 #include "kernels/dispatch.hpp"
+#include "kernels/spike_words.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
 #include "snn/dense.hpp"
@@ -376,6 +379,141 @@ TEST(KernelDispatch, ChooseByDensityProbesOnlyAuto) {
             KernelMode::kNaive);
   EXPECT_EQ(ChooseByDensity(KernelMode::kGemm, 0.0f, max, KernelMode::kGemm),
             KernelMode::kGemm);
+}
+
+TEST(KernelDispatch, KernelModeEnvValuesAreStrict) {
+  using kernels::KernelModeFromEnv;
+  EXPECT_EQ(KernelModeFromEnv(nullptr), KernelMode::kAuto);  // unset
+  EXPECT_EQ(KernelModeFromEnv("auto"), KernelMode::kAuto);
+  EXPECT_EQ(KernelModeFromEnv("naive"), KernelMode::kNaive);
+  EXPECT_EQ(KernelModeFromEnv("gemm"), KernelMode::kGemm);
+  EXPECT_EQ(KernelModeFromEnv("sparse"), KernelMode::kSparse);
+  EXPECT_EQ(KernelModeFromEnv("simd"), KernelMode::kSimd);
+  // Empty, wrong case and trailing garbage are errors, never a silent auto.
+  for (const char* bad :
+       {"", "NAIVE", "Gemm", "gemmm", "simd ", " sparse", "auto1", "on"}) {
+    try {
+      KernelModeFromEnv(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("AXSNN_KERNEL_MODE"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("auto, naive, gemm, sparse, simd"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(KernelDispatch, DecideKernelModeFamilyTable) {
+  using kernels::KernelFamily;
+  using kernels::SimdTier;
+  // The sparse threshold and dense fallback of each family, with and
+  // without a SIMD tier. fp32 never falls back to simd (its FMA order is
+  // tolerance-gated); int8 falls back to the exact simd kernels with a tier.
+  struct Row {
+    KernelFamily family;
+    bool simd_tier;
+    float sparse_max;
+    KernelMode fallback;
+  };
+  const Row rows[] = {
+      {KernelFamily::kConvF32, false, 0.15f, KernelMode::kNaive},
+      {KernelFamily::kConvF32, true, 0.15f, KernelMode::kNaive},
+      {KernelFamily::kDenseF32, false, 0.15f, KernelMode::kGemm},
+      {KernelFamily::kDenseF32, true, 0.15f, KernelMode::kGemm},
+      {KernelFamily::kConvI8, false, 0.15f, KernelMode::kNaive},
+      {KernelFamily::kConvI8, true, 0.04f, KernelMode::kSimd},
+      {KernelFamily::kDenseI8, false, 0.15f, KernelMode::kNaive},
+      {KernelFamily::kDenseI8, true, 0.015f, KernelMode::kSimd},
+  };
+  std::vector<float> densities = {0.0f, 1.0f};
+  for (float t : {0.015f, 0.04f, 0.15f}) {
+    densities.push_back(t);
+    densities.push_back(std::nextafter(t, 1.0f));  // just above
+  }
+  for (const Row& r : rows) {
+    const std::vector<SimdTier> tiers =
+        r.simd_tier ? std::vector<SimdTier>{SimdTier::kAvx2, SimdTier::kVnni}
+                    : std::vector<SimdTier>{SimdTier::kScalar};
+    for (SimdTier tier : tiers) {
+      for (float d : densities) {
+        const std::string where =
+            "family " + std::to_string(static_cast<int>(r.family)) +
+            " tier " + kernels::SimdTierName(tier) + " density " +
+            std::to_string(d);
+        EXPECT_EQ(kernels::DecideKernelMode(r.family, KernelMode::kAuto, d,
+                                            tier),
+                  d <= r.sparse_max ? KernelMode::kSparse : r.fallback)
+            << where;
+        // Forced modes pass through; forced simd without a tier is naive.
+        for (KernelMode m : {KernelMode::kNaive, KernelMode::kGemm,
+                             KernelMode::kSparse, KernelMode::kSimd}) {
+          const KernelMode want =
+              m == KernelMode::kSimd && !r.simd_tier ? KernelMode::kNaive : m;
+          EXPECT_EQ(kernels::DecideKernelMode(r.family, m, d, tier), want)
+              << where << " forced " << kernels::KernelModeName(m);
+        }
+      }
+    }
+  }
+  // The fp32 fallbacks perfbench's probe repeats, spelled out.
+  EXPECT_EQ(kernels::DecideKernelMode(KernelFamily::kConvF32,
+                                      KernelMode::kAuto, 0.33f,
+                                      SimdTier::kAvx2),
+            KernelMode::kNaive);
+  EXPECT_EQ(kernels::DecideKernelMode(KernelFamily::kDenseF32,
+                                      KernelMode::kAuto, 0.33f,
+                                      SimdTier::kAvx2),
+            KernelMode::kGemm);
+}
+
+TEST(KernelDispatch, PlanKernelResolvesPacksAndReusesWords) {
+  using kernels::KernelFamily;
+  runtime::Workspace scratch;
+  // 2 samples of 70 elements: 3 + 1 nonzeros -> density 4/140.
+  std::vector<float> x(140, 0.0f);
+  x[0] = x[5] = x[69] = 1.0f;
+  x[70 + 64] = 0.5f;
+  const kernels::SimdTier tier = kernels::ActiveSimdTier();
+  {
+    ScopedKernelMode neutral(KernelMode::kAuto);
+    // Auto packs the words into scratch and decides on their density.
+    const kernels::KernelPlan plan = kernels::PlanKernel(
+        KernelFamily::kDenseF32, KernelMode::kAuto, x.data(), 2, 70, scratch,
+        nullptr);
+    EXPECT_EQ(plan.mode, KernelMode::kSparse);
+    EXPECT_EQ(plan.tier, tier);
+    ASSERT_NE(plan.words, nullptr);
+    const long wps = kernels::SpikeWordCount(70);
+    EXPECT_EQ(std::popcount(plan.words[0]) + std::popcount(plan.words[1]), 3);
+    EXPECT_EQ(std::popcount(plan.words[wps]) +
+                  std::popcount(plan.words[wps + 1]),
+              1);
+    // Caller-supplied words are used as given, for the decision too.
+    const std::uint64_t given[4] = {~0ull, ~0ull, ~0ull, ~0ull};
+    const kernels::PackedWords packed{given, 140};
+    const kernels::KernelPlan reused = kernels::PlanKernel(
+        KernelFamily::kDenseF32, KernelMode::kAuto, x.data(), 2, 70, scratch,
+        &packed);
+    EXPECT_EQ(reused.words, given);
+    EXPECT_EQ(reused.mode, KernelMode::kGemm);  // density 1
+    // A forced dense mode needs no words.
+    const kernels::KernelPlan naive = kernels::PlanKernel(
+        KernelFamily::kDenseF32, KernelMode::kNaive, x.data(), 2, 70, scratch,
+        nullptr);
+    EXPECT_EQ(naive.mode, KernelMode::kNaive);
+    EXPECT_EQ(naive.words, nullptr);
+  }
+  // The global override is applied first, and a forced sparse gets words.
+  ScopedKernelMode force(KernelMode::kSparse);
+  const kernels::KernelPlan forced = kernels::PlanKernel(
+      KernelFamily::kConvF32, KernelMode::kNaive, x.data(), 2, 70, scratch,
+      nullptr);
+  EXPECT_EQ(forced.mode, KernelMode::kSparse);
+  EXPECT_NE(forced.words, nullptr);
 }
 
 TEST(KernelDispatch, GlobalModeOverridesRequested) {

@@ -1,6 +1,8 @@
 // Unit tests for the weight/pooling/dropout layers, including numerical
 // gradient checks of every Backward implementation and a reference
 // implementation cross-check for the convolution.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "snn/conv2d.hpp"
@@ -229,6 +231,80 @@ TEST(Dense, RejectsIndivisibleInput) {
   Rng rng(15);
   Dense fc("fc", 5, 2, rng);
   EXPECT_THROW(fc.Forward(Tensor({2, 4}), false), std::invalid_argument);
+}
+
+TEST(WeightLayer, SharedParamsAndFans) {
+  Rng rng(16);
+  Conv2d conv("c", 2, 3, 3, 1, rng);
+  Dense fc("fc", 5, 4, rng);
+  for (WeightLayer* layer : {static_cast<WeightLayer*>(&conv),
+                             static_cast<WeightLayer*>(&fc)}) {
+    // Params() order (weight, bias) is what the state-dict keys ".0"/".1"
+    // name, so stored checkpoints depend on it.
+    ASSERT_EQ(layer->Params().size(), 2u);
+    EXPECT_EQ(layer->Params()[0], &layer->weight());
+    EXPECT_EQ(layer->Params()[1], &layer->bias());
+    EXPECT_EQ(layer->Grads()[0]->shape(), layer->weight().shape());
+    EXPECT_EQ(layer->bias().shape(), (Shape{layer->weight().dim(0)}));
+  }
+  EXPECT_EQ(conv.fan_in(), 2 * 3 * 3);
+  EXPECT_EQ(conv.fan_out(), 3 * 3 * 3);
+  EXPECT_EQ(fc.fan_in(), 5);
+  EXPECT_EQ(fc.fan_out(), 4);
+}
+
+TEST(WeightLayer, CloneKeepsWeightsDropsInputCache) {
+  Rng rng(17);
+  Dense fc("fc", 4, 2, rng);
+  Tensor x = Tensor::Uniform({3, 4}, 0.0f, 1.0f, rng);
+  fc.Forward(x, true);  // caches x for Backward
+  std::unique_ptr<Layer> copy = fc.Clone();
+  EXPECT_TRUE(copy->Params()[0]->AllClose(fc.weight(), 0.0f));
+  EXPECT_THROW(copy->Backward(Tensor::Ones({3, 2})), std::invalid_argument);
+  EXPECT_EQ(fc.Backward(Tensor::Ones({3, 2})).shape(), x.shape());
+}
+
+TEST(WeightLayer, SilentStepsWriteBiasPlanesAndCountSkips) {
+  Rng rng(18);
+  Conv2d conv("c", 2, 3, 3, 1, rng);
+  Dense fc("fc", 32, 4, rng);
+  for (WeightLayer* layer : {static_cast<WeightLayer*>(&conv),
+                             static_cast<WeightLayer*>(&fc)}) {
+    SCOPED_TRACE(layer->Name());
+    layer->bias() = Tensor::Uniform(layer->bias().shape(), -1.0f, 1.0f, rng);
+    // 2 samples of 32 zeros: [B, C, H, W] for the conv, [B, F] for dense.
+    Tensor silent(layer == &conv ? Shape{2, 2, 4, 4} : Shape{2, 32});
+    Tensor live = silent;
+    live[3] = 1.0f;
+    // Every kernel mode maps an all-zero input to the pure bias planes.
+    const Tensor want = layer->Forward(silent, false);
+
+    SpikePlanes lane;
+    lane.Configure(2, 32);
+    long calls = 0;
+    long skipped = 0;
+    StepContext ctx;
+    ctx.kernel_calls = &calls;
+    ctx.kernel_calls_skipped = &skipped;
+    Tensor out;
+    layer->BeginStepped(3, 2);
+    lane.ZeroFill();
+    ctx.in = lane.View();
+    layer->ForwardStep(silent, out, ctx);
+    EXPECT_EQ(out.numel(), want.numel());
+    for (long i = 0; i < want.numel(); ++i) ASSERT_EQ(out[i], want[i]) << i;
+    // A live step runs the kernel into the same buffer; the next silent
+    // step must write the bias planes again.
+    lane.PackFrom(live.data());
+    ctx.in = lane.View();
+    layer->ForwardStep(live, out, ctx);
+    lane.ZeroFill();
+    ctx.in = lane.View();
+    layer->ForwardStep(silent, out, ctx);
+    for (long i = 0; i < want.numel(); ++i) ASSERT_EQ(out[i], want[i]) << i;
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(skipped, 2);
+  }
 }
 
 TEST(AvgPool2d, AveragesWindows) {
