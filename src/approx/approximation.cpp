@@ -11,16 +11,26 @@ namespace axsnn::approx {
 
 CalibrationStats Calibrate(snn::Network& net, const Tensor& input_tb) {
   AXSNN_CHECK(input_tb.rank() >= 2, "calibration input must be [T, B, ...]");
-  net.Forward(input_tb, /*train=*/false);
+  // One inference pass, layer by layer (like EstimateEnergy), asking each
+  // LIF layer for the statistics of the activation it receives.
   CalibrationStats stats;
-  for (const snn::LifLayer* lif : net.LifLayers()) {
-    LayerCalibration c;
-    c.lif_name = lif->Name();
-    c.mean_rate = lif->last_mean_rate();
-    c.mean_membrane = lif->last_mean_membrane();
-    c.mean_drive = lif->last_mean_drive();
-    c.v_threshold = lif->params().v_threshold;
-    stats.lif.push_back(c);
+  const Tensor* in = &input_tb;
+  Tensor buffers[2];
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    snn::Layer& layer = net.layer(i);
+    if (const auto* lif = dynamic_cast<const snn::LifLayer*>(&layer)) {
+      const snn::LifStatistics s = lif->Statistics(*in);
+      LayerCalibration c;
+      c.lif_name = lif->Name();
+      c.mean_rate = s.mean_rate;
+      c.mean_membrane = s.mean_membrane;
+      c.mean_drive = s.mean_drive;
+      c.v_threshold = lif->params().v_threshold;
+      stats.lif.push_back(c);
+    }
+    Tensor& out = buffers[i % 2];
+    layer.ForwardInto(*in, out, /*train=*/false);
+    in = &out;
   }
   return stats;
 }

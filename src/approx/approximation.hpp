@@ -50,8 +50,9 @@ struct CalibrationStats {
   std::vector<LayerCalibration> lif;
 };
 
-/// Runs a forward pass on time-major calibration input [T, B, ...] and
-/// collects each LIF layer's spike statistics.
+/// Runs an inference pass on time-major calibration input [T, B, ...] and
+/// asks each LIF layer for the spike statistics of its input
+/// (snn::LifLayer::Statistics).
 CalibrationStats Calibrate(snn::Network& net, const Tensor& input_tb);
 
 /// AxSNN construction parameters.

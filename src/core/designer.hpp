@@ -2,8 +2,8 @@
 //
 // Wraps Algorithm 1 for users who want the end product rather than the
 // search trace: runs the precision-scaling search and returns the chosen
-// configuration together with a ready-to-deploy approximate network
-// (retrained at the winning structural cell).
+// configuration together with a ready-to-deploy approximate network, built
+// from the accurate model the search trained at the winning structural cell.
 #pragma once
 
 #include "core/search.hpp"

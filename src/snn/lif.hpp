@@ -6,6 +6,8 @@
 // compile-time constants.
 #pragma once
 
+#include <algorithm>
+
 #include "tensor/check.hpp"
 
 namespace axsnn::snn {
@@ -43,7 +45,10 @@ struct LifParams {
 /// standard choice for training SNNs with backpropagation-through-time and is
 /// what our gradient-based attacks (PGD/BIM) differentiate through as well.
 inline float SurrogateGrad(float u, float vth, float alpha) {
-  const float d = 1.0f + alpha * (u > vth ? u - vth : vth - u);
+  // |u - vth| as the larger of the two differences: both are computed, so
+  // a loop over neurons vectorizes (a conditional pick of one difference
+  // compiles to a branch under trapping floating-point math).
+  const float d = 1.0f + alpha * std::max(u - vth, vth - u);
   return 1.0f / (d * d);
 }
 

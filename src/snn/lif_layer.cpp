@@ -8,6 +8,70 @@
 #include "tensor/check.hpp"
 
 namespace axsnn::snn {
+namespace {
+
+/// One membrane update: integrates input `x` into `carry` (the post-reset
+/// membrane) and returns u[t]. `carry` leaves as the membrane step t+1
+/// integrates from — v_reset after a spike (hard reset), else u[t].
+inline float Integrate(float& carry, float x, const LifParams& p) {
+  const float u = p.beta * carry + x;
+  carry = u >= p.v_threshold ? p.v_reset : u;
+  return u;
+}
+
+/// One timestep of `len` neurons: the step body of both ForwardInto and
+/// ForwardStep. Branch-free so it vectorizes; kStoreMembrane adds the
+/// Backward cache store.
+template <bool kStoreMembrane>
+void Step(const float* __restrict x, float* __restrict s,
+          float* __restrict carry, float* __restrict u, long len,
+          LifParams p) {
+  for (long i = 0; i < len; ++i) {
+    const float u_t = Integrate(carry[i], x[i], p);
+    s[i] = u_t >= p.v_threshold ? 1.0f : 0.0f;
+    if constexpr (kStoreMembrane) u[i] = u_t;
+  }
+}
+
+/// One reverse timestep of `len` neurons. With hard reset,
+///   u[t+1] = beta * (1 - s[t]) * u[t] + beta * v_reset * s[t] + x[t+1]
+/// so d u[t+1]/d u[t] = beta (1 - s[t]) and
+///    d u[t+1]/d s[t] = beta (v_reset - u[t]).
+/// `du_next` enters as dL/du[t+1] and leaves as dL/du[t]; s[t] is
+/// recomputed from the cached membrane exactly as the forward derived it.
+void BackStep(const float* __restrict u, const float* __restrict g,
+              float* __restrict gi, float* __restrict du_next, long len,
+              LifParams p) {
+  for (long i = 0; i < len; ++i) {
+    const float u_t = u[i];
+    const float s_t = u_t >= p.v_threshold ? 1.0f : 0.0f;
+    // Total gradient reaching the spike s[t]: from the layer output and
+    // from the reset path of the next membrane update.
+    const float ds = g[i] + du_next[i] * p.beta * (p.v_reset - u_t);
+    // Spike -> membrane via surrogate; plus the leak path from u[t+1].
+    const float du =
+        ds * SurrogateGrad(u_t, p.v_threshold, p.surrogate_alpha) +
+        du_next[i] * p.beta * (1.0f - s_t);
+    gi[i] = du;  // du[t]/dx[t] = 1
+    du_next[i] = du;
+  }
+}
+
+/// Throws unless `shape` is time-major [T, B, F...] with T > 0: the
+/// recursion divides the element count by T.
+void CheckTimeMajor(const Shape& shape) {
+  AXSNN_CHECK(shape.size() >= 2 && shape[0] > 0,
+              "LifLayer expects [T, B, F...] with T > 0");
+}
+
+/// The first `n` floats of the carry buffer, grown (never shrunk) to fit.
+float* CarrySlots(std::vector<float>& carry, long n) {
+  if (carry.size() < static_cast<std::size_t>(n))
+    carry.resize(static_cast<std::size_t>(n));
+  return carry.data();
+}
+
+}  // namespace
 
 LifLayer::LifLayer(std::string name, LifParams params)
     : name_(std::move(name)), params_(params) {
@@ -18,115 +82,69 @@ void LifLayer::set_params(LifParams params) {
   params.Validate();
   params_ = params;
   cached_membrane_ = Tensor();
-  cached_spikes_ = Tensor();
 }
 
 void LifLayer::set_params_raw(LifParams params) {
   params_ = params;  // no Validate(): faulted values pass through verbatim
   cached_membrane_ = Tensor();
-  cached_spikes_ = Tensor();
 }
 
 Shape LifLayer::OutputShape(const Shape& in) const {
-  AXSNN_CHECK(in.size() >= 2, "LifLayer expects [T, B, F...]");
+  CheckTimeMajor(in);
   return in;
 }
 
-void LifLayer::ForwardInto(const Tensor& x, Tensor& out, bool /*train*/) {
+void LifLayer::ForwardInto(const Tensor& x, Tensor& out, bool train) {
   SizeOutput(x, out);
   const long t_steps = x.dim(0);
   const long n = x.numel() / t_steps;  // neurons x batch
 
-  cached_membrane_.ResizeTo(x.shape());
-  cached_spikes_.ResizeTo(x.shape());
-
-  const float* xd = x.data();
-  float* ud = cached_membrane_.data();
-  float* sd = cached_spikes_.data();
-  float* od = out.data();
-  const float beta = params_.beta;
-  const float vth = params_.v_threshold;
-  const float vreset = params_.v_reset;
-
-  // The time recursion is sequential; parallelism is across neurons. The
-  // spike statistics are reduced per fixed chunk and combined in chunk
-  // order, so they are bit-identical at any pool size (and match the serial
-  // left-to-right accumulation).
-  const long grain = runtime::DefaultGrain(n);
-  stat_partials_.resize(static_cast<std::size_t>(runtime::NumChunks(n, grain)));
-  std::vector<std::array<double, 3>>& partials = stat_partials_;
-  runtime::ParallelForChunks(
-      0, n,
-      [&](long chunk, long lo, long hi) {
-        double spikes = 0.0;
-        double membrane = 0.0;
-        double drive = 0.0;
-        for (long i = lo; i < hi; ++i) {
-          float u_prev = 0.0f;
-          float s_prev = 0.0f;
-          for (long t = 0; t < t_steps; ++t) {
-            const long off = t * n + i;
-            // Hard reset: a spike at t-1 pulls the membrane back to v_reset.
-            const float u_carry = s_prev > 0.0f ? vreset : u_prev;
-            const float u_t = beta * u_carry + xd[off];
-            const float s_t = u_t >= vth ? 1.0f : 0.0f;
-            ud[off] = u_t;
-            sd[off] = s_t;
-            od[off] = s_t;
-            spikes += s_t;
-            membrane += u_t;
-            if (u_t > 0.0f) drive += u_t;
-            u_prev = u_t;
-            s_prev = s_t;
-          }
-        }
-        partials[static_cast<std::size_t>(chunk)] = {spikes, membrane, drive};
-      },
-      grain);
-
-  double total_spikes = 0.0;
-  double total_membrane = 0.0;
-  double total_drive = 0.0;
-  for (const auto& p : partials) {
-    total_spikes += p[0];
-    total_membrane += p[1];
-    total_drive += p[2];
+  float* ud = nullptr;
+  if (train || grad_cache()) {
+    cached_membrane_.ResizeTo(x.shape());
+    ud = cached_membrane_.data();
+  } else {
+    cached_membrane_ = Tensor();  // Backward after an uncached pass throws
   }
-
-  const double count = static_cast<double>(x.numel());
-  last_total_spikes_ = total_spikes;
-  last_mean_rate_ = static_cast<float>(total_spikes / count);
-  last_mean_membrane_ = static_cast<float>(total_membrane / count);
-  last_mean_drive_ = static_cast<float>(total_drive / count);
+  const float* xd = x.data();
+  float* od = out.data();
+  float* cd = CarrySlots(carry_, n);
+  const LifParams p = params_;
+  // The time recursion is sequential; parallelism is across neurons. Each
+  // fixed chunk runs t outermost over its own neurons and carry slice, so
+  // every step reads and writes contiguous plane rows.
+  runtime::ParallelForChunks(0, n, [&](long /*chunk*/, long lo, long hi) {
+    const long len = hi - lo;
+    std::fill(cd + lo, cd + hi, 0.0f);
+    for (long t = 0; t < t_steps; ++t) {
+      const long off = t * n + lo;
+      if (ud != nullptr) {
+        Step<true>(xd + off, od + off, cd + lo, ud + off, len, p);
+      } else {
+        Step<false>(xd + off, od + off, cd + lo, nullptr, len, p);
+      }
+    }
+  });
 }
 
 void LifLayer::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
   out.ResizeTo(x.shape());
   const long n = x.numel();
-  if (ctx.t == 0) {
-    if (stepped_carry_.size() < static_cast<std::size_t>(n))
-      stepped_carry_.resize(static_cast<std::size_t>(n));
-    std::fill(stepped_carry_.begin(), stepped_carry_.begin() + n, 0.0f);
-  }
-  // Stepped runs never feed Backward: drop the BPTT caches so a Backward
+  // Stepped runs never feed Backward: drop the BPTT cache so a Backward
   // call throws instead of differentiating a stale dense-path forward.
   cached_membrane_ = Tensor();
-  cached_spikes_ = Tensor();
 
   const float* xd = x.data();
   float* od = out.data();
-  float* cd = stepped_carry_.data();
-  const float beta = params_.beta;
-  const float vth = params_.v_threshold;
-  const float vreset = params_.v_reset;
-  // Same arithmetic op sequence as one t-iteration of the dense recursion:
-  // cd[i] enters as (s_prev > 0 ? v_reset : u_prev) and leaves as the next
-  // step's carry, so outputs are bit-identical to ForwardInto's slice t.
-  runtime::ParallelFor(0, n, [&](long i) {
-    const float u_t = beta * cd[i] + xd[i];
-    const float s_t = u_t >= vth ? 1.0f : 0.0f;
-    od[i] = s_t;
-    cd[i] = s_t > 0.0f ? vreset : u_t;
+  float* cd = CarrySlots(carry_, n);
+  const LifParams p = params_;
+  const bool first = ctx.t == 0;
+  // ForwardInto's chunk body for one t: the carry enters as step t's
+  // post-reset membrane (zero at step 0), so the output is bit-identical
+  // to ForwardInto's slice t.
+  runtime::ParallelForChunks(0, n, [&](long /*chunk*/, long lo, long hi) {
+    if (first) std::fill(cd + lo, cd + hi, 0.0f);
+    Step<false>(xd + lo, od + lo, cd + lo, nullptr, hi - lo, p);
   });
 
   if (ctx.out != nullptr) {
@@ -140,9 +158,9 @@ void LifLayer::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
 
 Tensor LifLayer::Backward(const Tensor& grad_out) {
   AXSNN_CHECK(!cached_membrane_.empty(),
-              "LifLayer::Backward called before Forward");
+              "LifLayer::Backward called before a cached Forward (train, or "
+              "grad_cache on)");
   const Tensor& u = cached_membrane_;
-  const Tensor& s = cached_spikes_;
   AXSNN_CHECK(grad_out.shape() == u.shape(),
               "LifLayer::Backward gradient shape mismatch");
 
@@ -151,34 +169,69 @@ Tensor LifLayer::Backward(const Tensor& grad_out) {
   Tensor grad_in(u.shape());
 
   const float* ud = u.data();
-  const float* sd = s.data();
   const float* gd = grad_out.data();
   float* gi = grad_in.data();
-  const float beta = params_.beta;
-  const float vth = params_.v_threshold;
-  const float alpha = params_.surrogate_alpha;
-
-  // Reverse-time recursion per neuron. With hard reset,
-  //   u[t+1] = beta * (1 - s[t]) * u[t] + beta * v_reset * s[t] + x[t+1]
-  // so d u[t+1]/d u[t] = beta (1 - s[t]) and
-  //    d u[t+1]/d s[t] = beta (v_reset - u[t]).
-  runtime::ParallelFor(0, n, [&](long i) {
-    float du_next = 0.0f;  // dL/du[t+1] flowing backwards
+  float* cd = CarrySlots(carry_, n);
+  const LifParams p = params_;
+  // Reverse-time recursion, chunk-outer like the forward: the carry slice
+  // holds dL/du[t+1] for the chunk's neurons.
+  runtime::ParallelForChunks(0, n, [&](long /*chunk*/, long lo, long hi) {
+    const long len = hi - lo;
+    std::fill(cd + lo, cd + hi, 0.0f);
     for (long t = t_steps - 1; t >= 0; --t) {
-      const long off = t * n + i;
-      const float u_t = ud[off];
-      const float s_t = sd[off];
-      // Total gradient reaching the spike s[t]: from the layer output and
-      // from the reset path of the next membrane update.
-      const float ds = gd[off] + du_next * beta * (params_.v_reset - u_t);
-      // Spike -> membrane via surrogate; plus the leak path from u[t+1].
-      const float du =
-          ds * SurrogateGrad(u_t, vth, alpha) + du_next * beta * (1.0f - s_t);
-      gi[off] = du;  // du[t]/dx[t] = 1
-      du_next = du;
+      const long off = t * n + lo;
+      BackStep(ud + off, gd + off, gi + off, cd + lo, len, p);
     }
   });
   return grad_in;
+}
+
+LifStatistics LifLayer::Statistics(const Tensor& x) const {
+  CheckTimeMajor(x.shape());
+  const long t_steps = x.dim(0);
+  const long n = x.numel() / t_steps;
+  const float* xd = x.data();
+  const LifParams p = params_;
+
+  // Neuron-major with t inner, per fixed chunk, partials combined in chunk
+  // order. Double sums depend on their order, and this is the order the
+  // Eq. (1) calibration is defined by: keeping it keeps the thresholds,
+  // and every approximate variant built on them, bit-identical.
+  const long grain = runtime::DefaultGrain(n);
+  std::vector<std::array<double, 3>> partials(
+      static_cast<std::size_t>(runtime::NumChunks(n, grain)));
+  runtime::ParallelForChunks(
+      0, n,
+      [&](long chunk, long lo, long hi) {
+        double spikes = 0.0;
+        double membrane = 0.0;
+        double drive = 0.0;
+        for (long i = lo; i < hi; ++i) {
+          float carry = 0.0f;
+          for (long t = 0; t < t_steps; ++t) {
+            const float u_t = Integrate(carry, xd[t * n + i], p);
+            spikes += u_t >= p.v_threshold ? 1.0f : 0.0f;
+            membrane += u_t;
+            if (u_t > 0.0f) drive += u_t;
+          }
+        }
+        partials[static_cast<std::size_t>(chunk)] = {spikes, membrane, drive};
+      },
+      grain);
+
+  LifStatistics stats;
+  double total_membrane = 0.0;
+  double total_drive = 0.0;
+  for (const auto& part : partials) {
+    stats.total_spikes += part[0];
+    total_membrane += part[1];
+    total_drive += part[2];
+  }
+  const double count = static_cast<double>(x.numel());
+  stats.mean_rate = static_cast<float>(stats.total_spikes / count);
+  stats.mean_membrane = static_cast<float>(total_membrane / count);
+  stats.mean_drive = static_cast<float>(total_drive / count);
+  return stats;
 }
 
 std::unique_ptr<Layer> LifLayer::Clone() const {

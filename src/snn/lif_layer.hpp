@@ -4,12 +4,13 @@
 //   u[t] = beta * u[t-1] * (1 - s[t-1]) + x[t],   s[t] = H(u[t] - Vth)
 // across the leading time axis of a [T, B, F...] activation, and its
 // Backward implements full backpropagation-through-time using the
-// fast-sigmoid surrogate for dH/du. It also records the spike statistics
-// (mean firing rate, mean membrane potential) that the Eq. (1)
-// approximation-threshold rule consumes.
+// fast-sigmoid surrogate for dH/du. The forward runs time-major over chunks
+// of neurons; it caches the membrane for Backward only under the
+// grad-cache rule (snn/layer.hpp). The spike statistics that the Eq. (1)
+// approximation-threshold rule consumes are a separate const request,
+// Statistics(x).
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,21 +21,37 @@
 
 namespace axsnn::snn {
 
+/// Spike statistics of one LIF layer on one input (LifLayer::Statistics).
+struct LifStatistics {
+  /// Total spikes emitted (Ns summed over neurons and time steps).
+  double total_spikes = 0.0;
+  /// Mean spikes per neuron per time step (Ns/T in Eq. (1) terms).
+  float mean_rate = 0.0f;
+  /// Mean membrane potential (signed).
+  float mean_membrane = 0.0f;
+  /// Mean rectified membrane potential, mean(max(0, u)) — the excitatory
+  /// drive. This is the Vm a spike-probability reading of Eq. (1) needs:
+  /// trained networks often have negative *signed* mean membrane (strong
+  /// inhibition), which would zero the min(1, Vm/Vth) term.
+  float mean_drive = 0.0f;
+};
+
 /// LIF spiking nonlinearity over time-major activations [T, B, F...].
 class LifLayer final : public Layer {
  public:
   LifLayer(std::string name, LifParams params);
 
   Shape OutputShape(const Shape& in) const override;
+  /// Caches the membrane u[t] for Backward when `train || grad_cache()`;
+  /// an uncached pass releases the cache, so Backward after it throws.
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: advances the membrane recursion one timestep from a
-  /// per-neuron carry (bit-identical to the dense recursion — the carry
-  /// holds exactly the post-reset membrane the dense loop would feed into
-  /// step t). LIF is never skipped on silent steps: the leak and any bias
-  /// currents from an upstream silent-filled conv/dense still integrate.
-  /// Publishes the (binary) output spikes into ctx.out. Skips the spike
-  /// statistics (Eq. (1) calibration runs on the dense path) and
-  /// invalidates the BPTT caches, so Backward after a stepped run throws.
+  /// Event-path step: advances the membrane recursion one timestep from the
+  /// per-neuron carry with the same step body as ForwardInto, so the slice
+  /// it writes is bit-identical to the dense recursion's slice t. LIF is
+  /// never skipped on silent steps: the leak and any bias currents from an
+  /// upstream silent-filled conv/dense still integrate. Publishes the
+  /// (binary) output spikes into ctx.out and releases the BPTT cache, so
+  /// Backward after a stepped run throws.
   void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::string Name() const override { return name_; }
@@ -52,37 +69,20 @@ class LifLayer final : public Layer {
   /// arithmetic, including NaN/inf). Clears caches like set_params.
   void set_params_raw(LifParams params);
 
-  /// Mean spikes emitted per neuron per time step in the last Forward
-  /// (Ns/T in Eq. (1) terms).
-  float last_mean_rate() const { return last_mean_rate_; }
-
-  /// Mean membrane potential observed in the last Forward (signed).
-  float last_mean_membrane() const { return last_mean_membrane_; }
-
-  /// Mean rectified membrane potential, mean(max(0, u)) — the excitatory
-  /// drive. This is the Vm a spike-probability reading of Eq. (1) needs:
-  /// trained networks often have negative *signed* mean membrane (strong
-  /// inhibition), which would zero the min(1, Vm/Vth) term.
-  float last_mean_drive() const { return last_mean_drive_; }
-
-  /// Total spikes emitted in the last Forward (Ns summed over neurons).
-  double last_total_spikes() const { return last_total_spikes_; }
+  /// Spike statistics this layer produces on input `x` [T, B, F...]. Runs
+  /// the recursion without touching the layer's state; the sums are reduced
+  /// neuron-major per fixed chunk and combined in chunk order, so they are
+  /// bit-identical at any pool size.
+  LifStatistics Statistics(const Tensor& x) const;
 
  private:
   std::string name_;
   LifParams params_;
-  Tensor cached_membrane_;  // u[t] before reset, same shape as input
-  Tensor cached_spikes_;    // s[t]
-  // Per-chunk (spikes, membrane, drive) partial sums, reused across passes
-  // so the steady-state forward path performs no allocation.
-  std::vector<std::array<double, 3>> stat_partials_;
-  // Stepped-path carry: per-neuron post-reset membrane between timesteps
-  // (s_prev > 0 ? v_reset : u_prev). Zeroed at step 0, reused across runs.
-  std::vector<float> stepped_carry_;
-  float last_mean_rate_ = 0.0f;
-  float last_mean_membrane_ = 0.0f;
-  float last_mean_drive_ = 0.0f;
-  double last_total_spikes_ = 0.0;
+  Tensor cached_membrane_;  // u[t] before reset; empty when uncached
+  // Per-neuron recursion carry, reused across calls: the post-reset
+  // membrane between forward steps (ForwardInto chunks and the stepped
+  // path's timesteps), dL/du[t+1] in Backward.
+  std::vector<float> carry_;
 };
 
 }  // namespace axsnn::snn

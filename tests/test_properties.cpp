@@ -224,15 +224,15 @@ TEST_P(VthSweepTest, NetworkRunsAtEveryThreshold) {
   EXPECT_EQ(out.shape(), (Shape{4, 2, 10}));
   // Spike rates decrease (weakly) as Vth rises; compare with doubled Vth.
   float rate_here = 0.0f;
-  for (const snn::LifLayer* l : net.LifLayers())
-    rate_here += l->last_mean_rate();
+  for (const approx::LayerCalibration& l : approx::Calibrate(net, input).lif)
+    rate_here += l.mean_rate;
   snn::StaticNetOptions high = opts;
   high.lif.v_threshold = GetParam() * 2.0f;
   snn::Network net_high = snn::BuildStaticNet(high);
-  net_high.Forward(input, false);
   float rate_high = 0.0f;
-  for (const snn::LifLayer* l : net_high.LifLayers())
-    rate_high += l->last_mean_rate();
+  for (const approx::LayerCalibration& l :
+       approx::Calibrate(net_high, input).lif)
+    rate_high += l.mean_rate;
   EXPECT_LE(rate_high, rate_here + 1e-6f);
 }
 
