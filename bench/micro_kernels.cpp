@@ -26,7 +26,6 @@ Tensor MakeSpikesPct(Shape shape, long density_pct, Rng& rng) {
 
 /// Mode axis for the dispatch benchmarks (KernelMode enumerator values).
 constexpr long kModeNaive = static_cast<long>(kernels::KernelMode::kNaive);
-constexpr long kModeGemm = static_cast<long>(kernels::KernelMode::kGemm);
 constexpr long kModeSparse = static_cast<long>(kernels::KernelMode::kSparse);
 constexpr long kModeSimd = static_cast<long>(kernels::KernelMode::kSimd);
 
@@ -157,11 +156,9 @@ void BM_Conv2dDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dDispatch)
     ->Args({kModeNaive, 10})
-    ->Args({kModeGemm, 10})
     ->Args({kModeSparse, 10})
     ->Args({kModeSimd, 10})
     ->Args({kModeNaive, 100})
-    ->Args({kModeGemm, 100})
     ->Args({kModeSparse, 100})
     ->Args({kModeSimd, 100});
 
@@ -181,7 +178,6 @@ void BM_Conv2dDispatchInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dDispatchInt8)
     ->Args({kModeNaive, 10})
-    ->Args({kModeGemm, 10})
     ->Args({kModeSparse, 10})
     ->Args({kModeSimd, 10})
     ->Args({kModeNaive, 100})
@@ -201,10 +197,9 @@ void BM_DenseDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseDispatch)
     ->Args({kModeNaive, 10})
-    ->Args({kModeGemm, 10})
     ->Args({kModeSparse, 10})
     ->Args({kModeSimd, 10})
-    ->Args({kModeGemm, 100})
+    ->Args({kModeNaive, 100})
     ->Args({kModeSimd, 100});
 
 void BM_RateEncode(benchmark::State& state) {

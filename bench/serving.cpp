@@ -154,7 +154,6 @@ std::vector<ModeIdentity> RunBitIdentity(const snn::Network& model) {
   } kModes[] = {
       {kernels::KernelMode::kAuto, "auto"},
       {kernels::KernelMode::kNaive, "naive"},
-      {kernels::KernelMode::kGemm, "gemm"},
       {kernels::KernelMode::kSparse, "sparse"},
       {kernels::KernelMode::kSimd, "simd"},
   };

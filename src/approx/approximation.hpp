@@ -76,7 +76,7 @@ struct ApproxConfig {
   /// tests. See DESIGN.md ("INT8 backend").
   bool int8_kernels = true;
   /// Kernel-implementation knob applied to every Conv2d/Dense of the
-  /// variant (naive | gemm | sparse; kAuto probes spike density per call).
+  /// variant (naive | sparse | simd; kAuto probes spike density per call).
   /// Every path is bit-identical — this is a performance/debugging knob,
   /// never an accuracy one. A non-auto AXSNN_KERNEL_MODE overrides it.
   kernels::KernelMode kernel_mode = kernels::KernelMode::kAuto;

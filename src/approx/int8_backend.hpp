@@ -22,7 +22,7 @@
 // sums for fan-ins up to 2^31 / (64 * 127) ≈ 264k — far above any layer in
 // this repo. The ASan/UBSan CI job would flag an overflow regression.
 //
-// Execution itself lives in src/kernels/ (naive / gemm / sparse, selected
+// Execution itself lives in src/kernels/ (naive / sparse / simd, selected
 // by the sparsity-aware dispatcher — kernels/dispatch.hpp): this module
 // quantizes the activations and forwards to kernels::Int8Conv2dForward /
 // kernels::Int8DenseForward. Integer accumulation is exact, so every mode

@@ -77,7 +77,7 @@ class StaticWorkbench {
     /// float fake-quantization emulation for every precision.
     bool int8_kernels = true;
     /// Kernel implementation for derived variants (src/kernels/ dispatch:
-    /// auto | naive | gemm | sparse; all bit-identical). kAuto probes spike
+    /// auto | naive | sparse | simd; all bit-identical). kAuto probes spike
     /// density per call; AXSNN_KERNEL_MODE overrides.
     kernels::KernelMode kernel_mode = kernels::KernelMode::kAuto;
     std::uint64_t seed = 5;

@@ -101,149 +101,34 @@ void Conv2dNaive(const float* xd, const float* wd, const float* bd, float* od,
   });
 }
 
-// --- im2col + register-blocked GEMM ------------------------------------------
-
-/// Register tile: kMr out-channels x kNr output pixels of fp32/int32
-/// accumulators — 8 SSE lanes' worth, small enough to stay in registers
-/// across the whole k loop.
-constexpr long kMr = 4;
-constexpr long kNr = 8;
+// --- im2col (the simd path's packed input) -----------------------------------
 
 /// Writes one sample's im2col matrix: col[k][o] with k walking (ci, ky, kx)
 /// in the naive loop order and o = oy * w_out + ox. Padding / out-of-range
-/// positions pack as exact zeros, so the GEMM's extra terms are ±0 no-ops
-/// on the accumulation (the bit-identity argument in the header). DstT may
-/// narrow (int32 codes -> int8 col): conv activation codes are quantized
-/// to |q| <= 127 by construction, and narrowing during the pack is what
-/// removed the int8 gemm path's 4x packing-traffic penalty.
-template <typename SrcT, typename DstT>
-void PackIm2col(const SrcT* xs, DstT* col, const Dims& d) {
+/// positions pack as exact zeros, so the tile's extra terms are ±0 no-ops
+/// on the accumulation (the bit-identity argument in the header).
+void PackIm2col(const float* xs, float* col, const Dims& d) {
   long k = 0;
   for (long ci = 0; ci < d.c_in; ++ci) {
-    const SrcT* xp = xs + ci * d.x_plane;
+    const float* xp = xs + ci * d.x_plane;
     for (long ky = 0; ky < d.kernel; ++ky) {
       for (long kx = 0; kx < d.kernel; ++kx, ++k) {
-        DstT* crow = col + k * d.o_plane;
+        float* crow = col + k * d.o_plane;
         const long ox_lo = std::max(0L, d.pad - kx);
         const long ox_hi = std::min(d.w_out, d.w + d.pad - kx);
         const long x_off = kx - d.pad;
         for (long oy = 0; oy < d.h_out; ++oy) {
           const long iy = oy + ky - d.pad;
-          DstT* dst = crow + oy * d.w_out;
+          float* dst = crow + oy * d.w_out;
           if (iy < 0 || iy >= d.h) {
-            for (long ox = 0; ox < d.w_out; ++ox) dst[ox] = DstT{0};
+            for (long ox = 0; ox < d.w_out; ++ox) dst[ox] = 0.0f;
             continue;
           }
-          const SrcT* xrow = xp + iy * d.w;
-          for (long ox = 0; ox < ox_lo; ++ox) dst[ox] = DstT{0};
-          for (long ox = ox_lo; ox < ox_hi; ++ox)
-            dst[ox] = static_cast<DstT>(xrow[ox + x_off]);
-          for (long ox = ox_hi; ox < d.w_out; ++ox) dst[ox] = DstT{0};
+          const float* xrow = xp + iy * d.w;
+          for (long ox = 0; ox < ox_lo; ++ox) dst[ox] = 0.0f;
+          for (long ox = ox_lo; ox < ox_hi; ++ox) dst[ox] = xrow[ox + x_off];
+          for (long ox = ox_hi; ox < d.w_out; ++ox) dst[ox] = 0.0f;
         }
-      }
-    }
-  }
-}
-
-/// Writes one sample's SIMD conv panel (layout in simd_kernels.hpp): 8
-/// output pixels per block, im2col k in dword groups of 4, byte
-/// (block, k4, pix, t) at ((block * kk4/4 + k4) * 8 + pix) * 4 + t holding
-/// the narrowed code for (k = 4*k4 + t, j = 8*block + pix). Out-of-range
-/// pixels (j >= o_plane), padded input positions, and the k tail up to kk4
-/// all pack as exact zeros, so the microkernel's extra MACs are no-ops.
-/// One sample's GEMM: out[co][o] = bias[co] + sum_k W[co][k] * col[k][o],
-/// k ascending — the naive accumulation order per output element. The
-/// noinline raw-pointer boundary and __restrict follow the int8 kernel's
-/// lesson (see DESIGN.md kernel notes): inlined into the pool lambda GCC
-/// stops keeping the accumulator tile in registers.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void GemmSampleF32(const float* __restrict wd, const float* __restrict bd,
-                   const float* __restrict col, float* __restrict op,
-                   long c_out, long kk, long o_plane) {
-  for (long i0 = 0; i0 < c_out; i0 += kMr) {
-    const long mr = std::min(kMr, c_out - i0);
-    for (long j0 = 0; j0 < o_plane; j0 += kNr) {
-      const long nr = std::min(kNr, o_plane - j0);
-      if (mr == kMr && nr == kNr) {  // full tile: fixed trip counts vectorize
-        float acc[kMr][kNr];
-        for (long i = 0; i < kMr; ++i)
-          for (long j = 0; j < kNr; ++j) acc[i][j] = bd[i0 + i];
-        for (long k = 0; k < kk; ++k) {
-          const float* brow = col + k * o_plane + j0;
-          for (long i = 0; i < kMr; ++i) {
-            const float av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < kNr; ++j) acc[i][j] += av * brow[j];
-          }
-        }
-        for (long i = 0; i < kMr; ++i) {
-          float* crow = op + (i0 + i) * o_plane + j0;
-          for (long j = 0; j < kNr; ++j) crow[j] = acc[i][j];
-        }
-      } else {  // ragged edge tile
-        float acc[kMr][kNr];
-        for (long i = 0; i < mr; ++i)
-          for (long j = 0; j < nr; ++j) acc[i][j] = bd[i0 + i];
-        for (long k = 0; k < kk; ++k) {
-          const float* brow = col + k * o_plane + j0;
-          for (long i = 0; i < mr; ++i) {
-            const float av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < nr; ++j) acc[i][j] += av * brow[j];
-          }
-        }
-        for (long i = 0; i < mr; ++i) {
-          float* crow = op + (i0 + i) * o_plane + j0;
-          for (long j = 0; j < nr; ++j) crow[j] = acc[i][j];
-        }
-      }
-    }
-  }
-}
-
-/// Integer sibling of GemmSampleF32: exact int32 accumulation, requantized
-/// on write-out with act_scale * weight_scale[co] before the float bias.
-/// ColT is the packed code type — int8 since the packing-traffic fix
-/// (kernels/dispatch.hpp); the int32 instantiation remains valid.
-template <typename ColT>
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void GemmSampleI32(const std::int8_t* __restrict wd,
-                   const float* __restrict scales, float act_scale,
-                   const float* __restrict bd,
-                   const ColT* __restrict col, float* __restrict op,
-                   long c_out, long kk, long o_plane) {
-  for (long i0 = 0; i0 < c_out; i0 += kMr) {
-    const long mr = std::min(kMr, c_out - i0);
-    for (long j0 = 0; j0 < o_plane; j0 += kNr) {
-      const long nr = std::min(kNr, o_plane - j0);
-      std::int32_t acc[kMr][kNr] = {};
-      if (mr == kMr && nr == kNr) {
-        for (long k = 0; k < kk; ++k) {
-          const ColT* brow = col + k * o_plane + j0;
-          for (long i = 0; i < kMr; ++i) {
-            const std::int32_t av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < kNr; ++j)
-              acc[i][j] += av * static_cast<std::int32_t>(brow[j]);
-          }
-        }
-      } else {
-        for (long k = 0; k < kk; ++k) {
-          const ColT* brow = col + k * o_plane + j0;
-          for (long i = 0; i < mr; ++i) {
-            const std::int32_t av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < nr; ++j)
-              acc[i][j] += av * static_cast<std::int32_t>(brow[j]);
-          }
-        }
-      }
-      for (long i = 0; i < mr; ++i) {
-        const float requant = act_scale * scales[i0 + i];
-        const float b = bd[i0 + i];
-        float* crow = op + (i0 + i) * o_plane + j0;
-        for (long j = 0; j < nr; ++j)
-          crow[j] = static_cast<float>(acc[i][j]) * requant + b;
       }
     }
   }
@@ -449,29 +334,22 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
     return;
   }
 
-  const long grain = runtime::DefaultGrain(d.n);
-  const long chunks = runtime::NumChunks(d.n, grain);
-
-  if (mode == KernelMode::kGemm || mode == KernelMode::kSimd) {
-    // One im2col matrix per chunk; a chunk's samples reuse it in turn.
-    // simd swaps the scalar-tiled GEMM for the 8-wide FMA microkernel over
-    // the same packed matrix.
-    Tensor& pack =
-        scratch.Acquire(slots::kPack, chunks * d.w_per_out * d.o_plane);
+  if (mode == KernelMode::kSimd) {
+    // One im2col matrix per chunk; a chunk's samples reuse it in turn. At
+    // most 16 chunks (the grain depends only on n): each holds a whole
+    // sample's im2col, and 64 of them raised peak RSS for no speed.
+    const long grain = std::max(runtime::DefaultGrain(d.n), (d.n + 15) / 16);
+    Tensor& pack = scratch.Acquire(
+        slots::kPack, runtime::NumChunks(d.n, grain) * d.w_per_out * d.o_plane);
     float* pd = pack.data();
-    const bool use_simd = mode == KernelMode::kSimd;
     runtime::ParallelForChunks(
         0, d.n,
         [&](long chunk, long lo, long hi) {
           float* col = pd + chunk * d.w_per_out * d.o_plane;
           for (long s = lo; s < hi; ++s) {
             PackIm2col(xd + s * d.x_sample, col, d);
-            if (use_simd)
-              simd::ConvGemmF32(wd, bd, col, od + s * d.o_sample, d.c_out,
-                                d.w_per_out, d.o_plane);
-            else
-              GemmSampleF32(wd, bd, col, od + s * d.o_sample, d.c_out,
-                            d.w_per_out, d.o_plane);
+            simd::ConvGemmF32(wd, bd, col, od + s * d.o_sample, d.c_out,
+                              d.w_per_out, d.o_plane);
           }
         },
         grain);
@@ -479,6 +357,8 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   }
 
   // kSparse: per-chunk gather lists sized for one sample at a time.
+  const long grain = runtime::DefaultGrain(d.n);
+  const long chunks = runtime::NumChunks(d.n, grain);
   auto& offs = scratch.AcquireI32(
       slots::kOffsets, static_cast<std::size_t>(chunks * (d.c_in + 1)));
   auto& rows = scratch.AcquireI32(slots::kRows,
@@ -565,7 +445,7 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
   if (mode == KernelMode::kSimd) {
     // Weight rows staged once, zero-padded to the dword-group width; one
     // panel per chunk, rebuilt per sample (panels are pixel-blocked im2col,
-    // so this is the same O(kk * o_plane) pack as gemm's, int8-narrow).
+    // int8-narrow).
     const long kk4 = simd::RoundUp4(d.w_per_out);
     const long panel_bytes = kk4 * simd::RoundUp8(d.o_plane);
     auto& wpad = scratch.AcquireI8(slots::kWpad,
@@ -590,28 +470,6 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
             simd::ConvPanelI8(wpad_d, scales, act_scale, bd, p,
                               od + s * d.o_sample, d.c_out, kk4, d.o_plane,
                               vnni);
-          }
-        },
-        grain);
-    return;
-  }
-
-  if (mode == KernelMode::kGemm) {
-    // int8 col (narrowed during packing) — the int32 im2col this replaced
-    // was the whole regression: 4x the packing write+reread traffic with
-    // the same inner loop (see kernels/dispatch.hpp).
-    auto& pack = scratch.AcquireI8(
-        slots::kColI8,
-        static_cast<std::size_t>(chunks * d.w_per_out * d.o_plane));
-    std::int8_t* pd = pack.data();
-    runtime::ParallelForChunks(
-        0, d.n,
-        [&](long chunk, long lo, long hi) {
-          std::int8_t* col = pd + chunk * d.w_per_out * d.o_plane;
-          for (long s = lo; s < hi; ++s) {
-            PackIm2col(qact + s * d.x_sample, col, d);
-            GemmSampleI32(wd, scales, act_scale, bd, col, od + s * d.o_sample,
-                          d.c_out, d.w_per_out, d.o_plane);
           }
         },
         grain);

@@ -15,7 +15,7 @@
 //   kScalar — no SIMD path; KernelMode::kSimd degrades to the naive
 //             reference loops (bit-identical, so forcing "simd" on any
 //             machine is always safe).
-//   kAvx2   — 256-bit int8 dot products via maddubs+madd, fp32 FMA tiles.
+//   kAvx2   — 256-bit int8 dot products via maddubs+madd, 8-wide fp32 tiles.
 //   kVnni   — same layouts, int8 inner loop uses vpdpbusd (AVX-VNNI).
 //
 // The AXSNN_SIMD environment variable caps the tier below what the hardware

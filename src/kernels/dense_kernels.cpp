@@ -12,8 +12,7 @@ namespace axsnn::kernels {
 
 namespace {
 
-/// Register tile: kMr output features x kNr samples.
-constexpr long kMr = 4;
+/// Samples per transposed block: one 8-lane fp32 vector.
 constexpr long kNr = 8;
 
 // --- naive fp32 (reference; the seed repo's loops, retained verbatim) --------
@@ -32,76 +31,16 @@ void DenseNaive(const float* xd, const float* wd, const float* bd, float* od,
   });
 }
 
-// --- register-blocked GEMM ---------------------------------------------------
+// --- transposed 8-sample blocks (the simd path's packed input) --------------
 
 /// Packs a block of up to kNr sample rows transposed: xt[i * kNr + j] =
-/// x[(s0 + j)][i]. The tail of a partial block is zero-filled so the
-/// micro-kernel can keep fixed trip counts (extra ±0 terms accumulate into
-/// lanes that are never written back).
-template <typename SrcT, typename DstT>
-void PackTransposed(const SrcT* xs, long nr, long f_in, DstT* xt) {
+/// x[(s0 + j)][i]. The tail of a partial block is zero-filled so the tile
+/// keeps fixed-width loads (its dead lanes are never written back).
+void PackTransposed(const float* xs, long nr, long f_in, float* xt) {
   for (long i = 0; i < f_in; ++i) {
-    DstT* row = xt + i * kNr;
-    for (long j = 0; j < nr; ++j)
-      row[j] = static_cast<DstT>(xs[j * f_in + i]);
-    for (long j = nr; j < kNr; ++j) row[j] = DstT{0};
-  }
-}
-
-/// One sample-block GEMM: out[s0+j][o] = bias[o] + sum_i W[o][i] * x[s0+j][i],
-/// i ascending — the naive accumulation order per output element.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void GemmBlockF32(const float* __restrict wd, const float* __restrict bd,
-                  const float* __restrict xt, float* __restrict os, long nr,
-                  long f_in, long f_out) {
-  for (long o0 = 0; o0 < f_out; o0 += kMr) {
-    const long mr = std::min(kMr, f_out - o0);
-    float acc[kMr][kNr];
-    for (long i = 0; i < mr; ++i)
-      for (long j = 0; j < kNr; ++j) acc[i][j] = bd[o0 + i];
-    for (long k = 0; k < f_in; ++k) {
-      const float* brow = xt + k * kNr;
-      for (long i = 0; i < mr; ++i) {
-        const float av = wd[(o0 + i) * f_in + k];
-        for (long j = 0; j < kNr; ++j) acc[i][j] += av * brow[j];
-      }
-    }
-    for (long i = 0; i < mr; ++i)
-      for (long j = 0; j < nr; ++j) os[j * f_out + o0 + i] = acc[i][j];
-  }
-}
-
-/// Integer sibling of GemmBlockF32 with requantized write-out. ColT is the
-/// packed code type — int8 since the packing-traffic fix
-/// (kernels/dispatch.hpp); the int32 instantiation remains valid.
-template <typename ColT>
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void GemmBlockI32(const std::int8_t* __restrict wd,
-                  const float* __restrict scales, float act_scale,
-                  const float* __restrict bd, const ColT* __restrict xt,
-                  float* __restrict os, long nr, long f_in, long f_out) {
-  for (long o0 = 0; o0 < f_out; o0 += kMr) {
-    const long mr = std::min(kMr, f_out - o0);
-    std::int32_t acc[kMr][kNr] = {};
-    for (long k = 0; k < f_in; ++k) {
-      const ColT* brow = xt + k * kNr;
-      for (long i = 0; i < mr; ++i) {
-        const std::int32_t av = wd[(o0 + i) * f_in + k];
-        for (long j = 0; j < kNr; ++j)
-          acc[i][j] += av * static_cast<std::int32_t>(brow[j]);
-      }
-    }
-    for (long i = 0; i < mr; ++i) {
-      const float requant = act_scale * scales[o0 + i];
-      const float b = bd[o0 + i];
-      for (long j = 0; j < nr; ++j)
-        os[j * f_out + o0 + i] =
-            static_cast<float>(acc[i][j]) * requant + b;
-    }
+    float* row = xt + i * kNr;
+    for (long j = 0; j < nr; ++j) row[j] = xs[j * f_in + i];
+    for (long j = nr; j < kNr; ++j) row[j] = 0.0f;
   }
 }
 
@@ -203,24 +142,13 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
     return;
   }
 
-  const long grain = runtime::DefaultGrain(n);
-  const long chunks = runtime::NumChunks(n, grain);
-
   if (mode == KernelMode::kSimd) {
-    // Contiguous rows in, contiguous rows out: the FMA microkernel needs
-    // no packing scratch at all.
-    runtime::ParallelForChunks(
-        0, n,
-        [&](long chunk, long lo, long hi) {
-          (void)chunk;
-          simd::DenseRowsF32(wd, bd, xd, od, lo, hi, f_in, f_out);
-        },
-        grain);
-    return;
-  }
-
-  if (mode == KernelMode::kGemm) {
-    Tensor& pack = scratch.Acquire(slots::kPack, chunks * f_in * kNr);
+    // One transposed 8-sample block per chunk. The grain is a whole number
+    // of blocks, so only a call's last block can carry dead lanes: at
+    // DefaultGrain's 1-sample chunks every block would carry one live lane.
+    const long grain = simd::RoundUp8(runtime::DefaultGrain(n));
+    Tensor& pack = scratch.Acquire(
+        slots::kPack, runtime::NumChunks(n, grain) * f_in * kNr);
     float* pd = pack.data();
     runtime::ParallelForChunks(
         0, n,
@@ -229,7 +157,7 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
           for (long s0 = lo; s0 < hi; s0 += kNr) {
             const long nr = std::min(kNr, hi - s0);
             PackTransposed(xd + s0 * f_in, nr, f_in, xt);
-            GemmBlockF32(wd, bd, xt, od + s0 * f_out, nr, f_in, f_out);
+            simd::DenseBlockF32(wd, bd, xt, od + s0 * f_out, nr, f_in, f_out);
           }
         },
         grain);
@@ -237,6 +165,8 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   }
 
   // kSparse
+  const long grain = runtime::DefaultGrain(n);
+  const long chunks = runtime::NumChunks(n, grain);
   auto& idx =
       scratch.AcquireI32(slots::kRows, static_cast<std::size_t>(chunks * f_in));
   Tensor& vals = scratch.Acquire(slots::kSparseVals, chunks * f_in);
@@ -295,27 +225,6 @@ void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
           (void)chunk;
           simd::DenseRowsI8(wd, ws, act_scale, bd, qact, od, lo, hi, f_in,
                             f_out, vnni);
-        },
-        grain);
-    return;
-  }
-
-  if (mode == KernelMode::kGemm) {
-    // int8 transposed pack (was int32 — the packing-traffic regression,
-    // see kernels/dispatch.hpp).
-    auto& pack = scratch.AcquireI8(
-        slots::kColI8, static_cast<std::size_t>(chunks * f_in * kNr));
-    std::int8_t* pd = pack.data();
-    runtime::ParallelForChunks(
-        0, n,
-        [&](long chunk, long lo, long hi) {
-          std::int8_t* xt = pd + chunk * f_in * kNr;
-          for (long s0 = lo; s0 < hi; s0 += kNr) {
-            const long nr = std::min(kNr, hi - s0);
-            PackTransposed(qact + s0 * f_in, nr, f_in, xt);
-            GemmBlockI32(wd, ws, act_scale, bd, xt, od + s0 * f_out, nr, f_in,
-                         f_out);
-          }
         },
         grain);
     return;

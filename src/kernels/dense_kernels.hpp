@@ -1,12 +1,13 @@
 // Fully-connected kernels behind the sparsity-aware dispatcher — fp32 and
-// int8, each naive / gemm / sparse (see kernels/dispatch.hpp).
+// int8, each naive / sparse / simd (see kernels/dispatch.hpp).
 //
 // Equivalence contract: every mode accumulates each output element
 // bias-first, then the in-feature contributions in ascending-index order —
-// the naive loop order. The gemm tiles keep the i loop sequential per
-// element, and the sparse gather scans each sample row left to right, so
-// fp32 results are bit-identical across modes (skipped/extra zero-activation
-// terms are exact ±0 no-ops) and int8 results are identical outright.
+// the naive loop order. The fp32 simd tile vectorizes across 8 samples and
+// keeps the i loop sequential per element, with unfused multiply and add,
+// and the sparse gather scans each sample row left to right, so fp32
+// results are bit-identical across modes (skipped zero-activation terms
+// are exact ±0 no-ops) and int8 results are identical outright.
 #pragma once
 
 #include <cstdint>

@@ -30,7 +30,6 @@ const char* KernelModeName(KernelMode mode) {
 std::optional<KernelMode> ParseKernelMode(std::string_view name) {
   if (name == "auto") return KernelMode::kAuto;
   if (name == "naive") return KernelMode::kNaive;
-  if (name == "gemm") return KernelMode::kGemm;
   if (name == "sparse") return KernelMode::kSparse;
   if (name == "simd") return KernelMode::kSimd;
   return std::nullopt;
@@ -40,8 +39,8 @@ KernelMode KernelModeFromEnv(const char* value) {
   if (value == nullptr) return KernelMode::kAuto;
   const std::optional<KernelMode> mode = ParseKernelMode(value);
   AXSNN_CHECK(mode.has_value(),
-              "AXSNN_KERNEL_MODE must be one of auto, naive, gemm, sparse, "
-              "simd; got \"" << value << "\"");
+              "AXSNN_KERNEL_MODE must be one of auto, naive, sparse, simd; "
+              "got \"" << value << "\"");
   return *mode;
 }
 
@@ -145,38 +144,28 @@ KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
 
 namespace {
 
-/// One family's rule 3-4 inputs: the sparse threshold and dense fallback.
-struct FamilyRule {
-  float sparse_max;
-  KernelMode dense_fallback;
-};
-
-/// Indexed [KernelFamily][SIMD tier active]. fp32 never falls back to simd:
-/// its FMA order differs from naive, so it runs only when forced. conv fp32
-/// falls back to naive (its reference loops vectorize their row MACs and
-/// skip pruned weights), dense fp32 to gemm (the one family where the
-/// register-blocked tiles beat the reference loops). With a tier the int8
-/// families fall back to their exact SIMD microkernels, whose 32-MAC
-/// instructions also lower the sparse crossover.
-constexpr FamilyRule kFamilyRules[4][2] = {
-    /* conv fp32  */ {{kConvSparseDensityMax, KernelMode::kNaive},
-                      {kConvSparseDensityMax, KernelMode::kNaive}},
-    /* dense fp32 */ {{kDenseSparseDensityMax, KernelMode::kGemm},
-                      {kDenseSparseDensityMax, KernelMode::kGemm}},
-    /* conv int8  */ {{kConvSparseDensityMax, KernelMode::kNaive},
-                      {kConvSparseDensityMaxI8Simd, KernelMode::kSimd}},
-    /* dense int8 */ {{kDenseSparseDensityMax, KernelMode::kNaive},
-                      {kDenseSparseDensityMaxI8Simd, KernelMode::kSimd}},
+/// Each family's sparse threshold, indexed [KernelFamily][SIMD tier
+/// active]. With a tier the int8 families' 32-MAC instructions lower the
+/// sparse crossover; the fp32 thresholds do not depend on the tier.
+constexpr float kSparseMax[4][2] = {
+    /* conv fp32  */ {kConvSparseDensityMax, kConvSparseDensityMax},
+    /* dense fp32 */ {kDenseSparseDensityMax, kDenseSparseDensityMax},
+    /* conv int8  */ {kConvSparseDensityMax, kConvSparseDensityMaxI8Simd},
+    /* dense int8 */ {kDenseSparseDensityMax, kDenseSparseDensityMaxI8Simd},
 };
 
 }  // namespace
 
 KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
                             float density, SimdTier tier) {
+  AXSNN_CHECK(mode != KernelMode::kGemm,
+              "kernel mode gemm is retired; use one of auto, naive, sparse, "
+              "simd");
   const bool simd = tier != SimdTier::kScalar;
-  const FamilyRule& rule = kFamilyRules[static_cast<int>(family)][simd];
-  mode = ChooseByDensity(mode, density, rule.sparse_max, rule.dense_fallback);
-  // Forced simd without the tier runs the scalar reference.
+  mode = ChooseByDensity(mode, density,
+                         kSparseMax[static_cast<int>(family)][simd],
+                         KernelMode::kSimd);
+  // simd without the tier, chosen or forced, runs the scalar reference.
   return mode == KernelMode::kSimd && !simd ? KernelMode::kNaive : mode;
 }
 

@@ -4,35 +4,28 @@
 // activations flowing through Conv2d/Dense are overwhelmingly zero (binary
 // spike trains, rate-encoded inputs, binned event frames), and Eq.-(1)
 // pruning adds weight sparsity on top. The kernel subsystem therefore ships
-// four implementations per (layer, precision) pair:
+// three implementations per (layer, precision) pair:
 //
 //   naive  — the original reference loops, retained verbatim. Every other
 //            path is pinned against it by the differential equivalence
 //            suite (tests/test_kernels.cpp).
-//   gemm   — im2col + register-blocked GEMM over packed buffers, for
-//            dense (mostly-nonzero) inputs. The int8 flavor packs int8
-//            codes (narrowed during im2col), not int32 — the int32 packing
-//            traffic was what made the original int8 gemm slower than
-//            naive.
 //   sparse — scans each input's bit-packed spike words (spike_words.hpp)
 //            and scatters weight rows per nonzero. Work is proportional to
 //            the *nonzero* count, so it wins whenever spike density is
 //            below the thresholds here.
 //   simd   — explicit AVX2/AVX-VNNI microkernels (simd_kernels.hpp) behind
-//            runtime CPUID detection (cpu_features.hpp). int8 simd is
-//            bit-identical to naive; fp32 simd is tolerance-gated and runs
-//            only when requested explicitly — see the numerics contract in
-//            simd_kernels.hpp.
+//            runtime CPUID detection (cpu_features.hpp), for dense
+//            (mostly-nonzero) inputs: fp32 tiles over an im2col matrix or
+//            transposed 8-sample blocks, int8 dot products over panels or
+//            contiguous code rows.
 //
-// Above the sparse threshold the auto probe falls back to the *measured*
-// best dense path per kernel family, not unconditionally to one mode: on
-// the bench shapes (BENCH_runtime.json "kernel_dispatch") the int8
-// families pick simd when the ISA probe reports an active tier (naive
-// otherwise), fp32 dense picks gemm, and fp32 conv picks naive — auto
-// never selects fp32 simd because its FMA accumulation differs from the
-// naive order, and dispatch decisions must never change an experiment
-// outcome (the golden determinism test pins that end to end; every path
-// auto can select is bit-identical to naive). Re-calibrate with
+// All three follow one numerics contract: bit-identical to naive (see
+// simd_kernels.hpp for the SIMD half). Dispatch decisions therefore never
+// change an experiment outcome — the golden determinism test pins that end
+// to end — and auto may pick any path. Above the sparse threshold every
+// family falls back to simd when the ISA probe reports an active tier and
+// to naive otherwise. The thresholds were measured on the bench shapes
+// (BENCH_runtime.json "kernel_dispatch"); re-calibrate with
 // bench_micro_runtime when the kernels or target hardware change.
 //
 // Mode precedence for one kernel call:
@@ -43,13 +36,13 @@
 //      (ApproxConfig::kernel_mode -> WeightLayer::set_kernel_mode);
 //   3. otherwise (auto) a per-call density probe (a popcount over the
 //      spike words) picks sparse at or below the density thresholds;
-//   4. above them the family's dense fallback applies, consulting
-//      ActiveSimdTier() for the int8 families (the ISA probe).
+//   4. above them the dense fallback applies: simd with a SIMD tier
+//      (ActiveSimdTier(), the ISA probe), naive without.
 // A forced simd mode (rule 1 or 2) on a machine or build without the SIMD
-// tier degrades to naive — always safe because int8 simd is bit-identical
-// and fp32 simd is opt-in; AXSNN_SIMD=off therefore exercises the scalar
-// fallback everywhere without touching results. All four rules and the
-// degrade are made in one place, PlanKernel, which every dispatcher calls.
+// tier degrades to naive — always safe because simd is bit-identical;
+// AXSNN_SIMD=off therefore exercises the scalar fallback everywhere without
+// touching results. All four rules and the degrade are made in one place,
+// PlanKernel, which every dispatcher calls.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +58,16 @@ class Workspace;
 namespace axsnn::kernels {
 
 /// Kernel implementation selector; kAuto defers to the density probe.
+/// kGemm is a retired mode: it keeps its value because grid digests hash
+/// enumerator values, but no kernel call accepts it (DecideKernelMode
+/// throws).
 enum class KernelMode { kAuto, kNaive, kGemm, kSparse, kSimd };
 
 /// "auto" / "naive" / "gemm" / "sparse" / "simd".
 const char* KernelModeName(KernelMode mode);
 
-/// Inverse of KernelModeName; nullopt for unknown names.
+/// Inverse of KernelModeName for the accepted modes; nullopt for unknown
+/// names and for the retired "gemm".
 std::optional<KernelMode> ParseKernelMode(std::string_view name);
 
 /// Parses an AXSNN_KERNEL_MODE value (nullptr = unset = kAuto). Any other
@@ -114,8 +111,8 @@ class ScopedKernelMode {
 /// than fp32's: the SIMD tier's 32-MAC int8 instructions raise the dense
 /// paths' work rate ~4x over fp32, moving the crossover down. Calibrated
 /// against the panel/dense microkernels on the bench shapes: conv sparse
-/// stops winning near 4% nonzeros, dense near 1.5% (the dense simd path
-/// has no packing cost, so its crossover sits much lower).
+/// stops winning near 4% nonzeros, dense near 1.5% (the int8 dense simd
+/// path has no packing cost, so its crossover sits much lower).
 inline constexpr float kConvSparseDensityMax = 0.15f;
 inline constexpr float kDenseSparseDensityMax = 0.15f;
 inline constexpr float kConvSparseDensityMaxI8Simd = 0.04f;
@@ -162,9 +159,9 @@ struct PackedWords {
 /// Applies precedence rule 1: a non-auto global mode wins over `requested`.
 KernelMode ResolveKernelMode(KernelMode requested);
 
-/// Applies precedence rules 3-4: maps kAuto to kSparse below `sparse_max`,
-/// to `dense_fallback` (the family's measured-best dense path — see the
-/// file comment) at or above it. Non-auto modes pass through unchanged.
+/// Applies precedence rules 3-4: maps kAuto to kSparse at or below
+/// `sparse_max`, to `dense_fallback` above it. Non-auto modes pass through
+/// unchanged.
 KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
                            KernelMode dense_fallback);
 
@@ -174,8 +171,10 @@ enum class KernelFamily { kConvF32, kDenseF32, kConvI8, kDenseI8 };
 /// Rules 3-4 and the simd degrade of one call, as a pure function: `mode`
 /// is the call's mode after rule 1, `density` the input's nonzero fraction
 /// (read for kAuto only), `tier` the active SIMD tier. Each family's sparse
-/// threshold and dense fallback come from one four-row table (dispatch.cpp,
-/// DESIGN.md "Dispatch heuristics"); the int8 rows depend on the tier.
+/// threshold comes from one four-row table (dispatch.cpp, DESIGN.md
+/// "Dispatch heuristics"); the int8 rows depend on the tier. The dense
+/// fallback is simd with a tier, naive without. Throws
+/// std::invalid_argument for the retired kGemm.
 KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
                             float density, SimdTier tier);
 
@@ -212,12 +211,11 @@ inline constexpr std::size_t kRows = 1;     ///< nonzero row coords / indices
 inline constexpr std::size_t kCols = 2;     ///< nonzero col coords
 inline constexpr std::size_t kQAct = 3;     ///< conv activation codes
 inline constexpr std::size_t kAcc = 4;      ///< int8 accumulator planes
-inline constexpr std::size_t kQVals = 5;    ///< gathered / packed codes
+inline constexpr std::size_t kQVals = 5;    ///< gathered nonzero codes
 // int8 slots (Workspace::AcquireI8)
 inline constexpr std::size_t kQActI8 = 0;  ///< dense activation codes
-inline constexpr std::size_t kColI8 = 1;   ///< int8 im2col (gemm path)
-inline constexpr std::size_t kPanel = 2;   ///< SIMD conv int8 panels
-inline constexpr std::size_t kWpad = 3;    ///< kk4-padded int8 weight rows
+inline constexpr std::size_t kPanel = 1;   ///< SIMD conv int8 panels
+inline constexpr std::size_t kWpad = 2;    ///< kk4-padded int8 weight rows
 // uint64 slots (Workspace::AcquireU64)
 inline constexpr std::size_t kWords = 0;  ///< bit-packed spike words
 }  // namespace slots

@@ -1,11 +1,11 @@
 // AVX2/FMA microkernels — with simd_kernels_vnni.cpp, the only translation
 // units built with vector ISA flags (see CMakeLists: -mavx2 -mfma
 // -ffp-contract=off on exactly these sources, gated on a compiler probe).
-// -ffp-contract=off matters: the int8 requantization must round multiply
-// and add separately to stay bit-identical to the naive kernels, and GCC
-// would otherwise be free to contract the mul+add intrinsic pair into an
-// FMA. Where fusion is wanted (fp32 tiles) it is spelled explicitly with
-// _mm256_fmadd_ps, which contract=off does not touch.
+// -ffp-contract=off matters: the naive TUs have no FMA ISA, so every
+// multiply-add here (the fp32 tiles, their scalar tails and the int8
+// requantization) must round the multiply and the add separately to stay
+// bit-identical to them, and -mfma would otherwise let GCC contract a
+// mul+add pair into an FMA.
 //
 // Without AVX2+FMA compiler support every entry point compiles to an
 // aborting stub; that is safe because SimdKernelsCompiled() then returns
@@ -48,20 +48,6 @@ bool SimdVnniCompiled() { return simd::detail::VnniCompiled(); }
 
 namespace axsnn::kernels::simd {
 
-namespace {
-
-/// Horizontal sum of the 8 float lanes (lane order fixed; the dense fp32
-/// path is tolerance-gated, so cross-lane order just needs determinism).
-inline float HsumF32(__m256 v) {
-  __m128 s =
-      _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-  return _mm_cvtss_f32(s);
-}
-
-}  // namespace
-
 void ConvGemmF32(const float* wd, const float* bd, const float* col,
                  float* op, long c_out, long kk, long o_plane) {
   const long vend32 = o_plane & ~31L;
@@ -71,18 +57,18 @@ void ConvGemmF32(const float* wd, const float* bd, const float* col,
     float* orow = op + co * o_plane;
     long j = 0;
     for (; j < vend32; j += 32) {
-      // Four 8-pixel tiles in flight: enough independent FMA chains to
-      // cover the 4-cycle latency while streaming one col row per k.
+      // Four 8-pixel tiles in flight: enough independent add chains to
+      // cover the add latency while streaming one col row per k.
       __m256 a0 = vbias, a1 = vbias, a2 = vbias, a3 = vbias;
       for (long k = 0; k < kk; ++k) {
         const float w = wrow[k];
         if (w == 0.0f) continue;  // pruned weight: whole row of no-ops
         const __m256 vw = _mm256_set1_ps(w);
         const float* c = col + k * o_plane + j;
-        a0 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c), a0);
-        a1 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c + 8), a1);
-        a2 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c + 16), a2);
-        a3 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c + 24), a3);
+        a0 = _mm256_add_ps(a0, _mm256_mul_ps(vw, _mm256_loadu_ps(c)));
+        a1 = _mm256_add_ps(a1, _mm256_mul_ps(vw, _mm256_loadu_ps(c + 8)));
+        a2 = _mm256_add_ps(a2, _mm256_mul_ps(vw, _mm256_loadu_ps(c + 16)));
+        a3 = _mm256_add_ps(a3, _mm256_mul_ps(vw, _mm256_loadu_ps(c + 24)));
       }
       _mm256_storeu_ps(orow + j, a0);
       _mm256_storeu_ps(orow + j + 8, a1);
@@ -94,65 +80,59 @@ void ConvGemmF32(const float* wd, const float* bd, const float* col,
       for (long k = 0; k < kk; ++k) {
         const float w = wrow[k];
         if (w == 0.0f) continue;
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(w),
-                              _mm256_loadu_ps(col + k * o_plane + j), acc);
+        acc = _mm256_add_ps(
+            acc, _mm256_mul_ps(_mm256_set1_ps(w),
+                               _mm256_loadu_ps(col + k * o_plane + j)));
       }
       _mm256_storeu_ps(orow + j, acc);
     }
     for (; j < o_plane; ++j) {
       float acc = bd[co];
-      for (long k = 0; k < kk; ++k)
-        acc += wrow[k] * col[k * o_plane + j];
+      for (long k = 0; k < kk; ++k) {
+        const float w = wrow[k];
+        if (w == 0.0f) continue;
+        acc += w * col[k * o_plane + j];
+      }
       orow[j] = acc;
     }
   }
 }
 
-void DenseRowsF32(const float* wd, const float* bd, const float* xd,
-                  float* od, long lo, long hi, long f_in, long f_out) {
-  const long vend = f_in & ~7L;
-  for (long s = lo; s < hi; ++s) {
-    const float* xs = xd + s * f_in;
-    float* os = od + s * f_out;
-    long o = 0;
-    for (; o + 4 <= f_out; o += 4) {
-      // Four output features share every 8-lane activation load.
-      const float* w0 = wd + o * f_in;
-      const float* w1 = w0 + f_in;
-      const float* w2 = w1 + f_in;
-      const float* w3 = w2 + f_in;
-      __m256 a0 = _mm256_setzero_ps();
-      __m256 a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps();
-      __m256 a3 = _mm256_setzero_ps();
-      for (long i = 0; i < vend; i += 8) {
-        const __m256 xv = _mm256_loadu_ps(xs + i);
-        a0 = _mm256_fmadd_ps(_mm256_loadu_ps(w0 + i), xv, a0);
-        a1 = _mm256_fmadd_ps(_mm256_loadu_ps(w1 + i), xv, a1);
-        a2 = _mm256_fmadd_ps(_mm256_loadu_ps(w2 + i), xv, a2);
-        a3 = _mm256_fmadd_ps(_mm256_loadu_ps(w3 + i), xv, a3);
-      }
-      float sum[4] = {HsumF32(a0), HsumF32(a1), HsumF32(a2), HsumF32(a3)};
-      for (long i = vend; i < f_in; ++i) {
-        const float xv = xs[i];
-        sum[0] += w0[i] * xv;
-        sum[1] += w1[i] * xv;
-        sum[2] += w2[i] * xv;
-        sum[3] += w3[i] * xv;
-      }
-      for (int r = 0; r < 4; ++r) os[o + r] = bd[o + r] + sum[r];
-    }
-    for (; o < f_out; ++o) {
-      const float* wr = wd + o * f_in;
-      __m256 acc = _mm256_setzero_ps();
-      for (long i = 0; i < vend; i += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(wr + i),
-                              _mm256_loadu_ps(xs + i), acc);
-      float sum = HsumF32(acc);
-      for (long i = vend; i < f_in; ++i) sum += wr[i] * xs[i];
-      os[o] = bd[o] + sum;
-    }
+namespace {
+
+/// kRows consecutive outputs from `o` of one 8-sample dense block: one
+/// 8-lane accumulator per output, lane j = sample j, all sharing each xt
+/// row load. Only the nr live lanes are written back.
+template <int kRows>
+inline void DenseBlockRowsF32(const float* wd, const float* bd,
+                              const float* xt, float* os, long o, long nr,
+                              long f_in, long f_out) {
+  const float* w = wd + o * f_in;
+  __m256 acc[kRows];
+  for (int r = 0; r < kRows; ++r) acc[r] = _mm256_set1_ps(bd[o + r]);
+  for (long i = 0; i < f_in; ++i) {
+    const __m256 xv = _mm256_loadu_ps(xt + i * 8);
+    for (int r = 0; r < kRows; ++r)
+      acc[r] = _mm256_add_ps(
+          acc[r], _mm256_mul_ps(_mm256_set1_ps(w[r * f_in + i]), xv));
   }
+  alignas(32) float lanes[8];
+  for (int r = 0; r < kRows; ++r) {
+    _mm256_store_ps(lanes, acc[r]);
+    for (long j = 0; j < nr; ++j) os[j * f_out + o + r] = lanes[j];
+  }
+}
+
+}  // namespace
+
+void DenseBlockF32(const float* wd, const float* bd, const float* xt,
+                   float* os, long nr, long f_in, long f_out) {
+  long o = 0;
+  // Eight independent add chains cover the add latency.
+  for (; o + 8 <= f_out; o += 8)
+    DenseBlockRowsF32<8>(wd, bd, xt, os, o, nr, f_in, f_out);
+  for (; o < f_out; ++o)
+    DenseBlockRowsF32<1>(wd, bd, xt, os, o, nr, f_in, f_out);
 }
 
 void ConvPanelI8(const std::int8_t* wpad, const float* scales,
@@ -321,8 +301,8 @@ void ConvGemmF32(const float*, const float*, const float*, float*, long,
                  long, long) {
   std::abort();
 }
-void DenseRowsF32(const float*, const float*, const float*, float*, long,
-                  long, long, long) {
+void DenseBlockF32(const float*, const float*, const float*, float*, long,
+                   long, long) {
   std::abort();
 }
 void ConvPanelI8(const std::int8_t*, const float*, float, const float*,

@@ -1,23 +1,24 @@
-// SIMD microkernels: AVX2/AVX-VNNI int8 dot products and 8-wide FMA fp32
+// SIMD microkernels: AVX2/AVX-VNNI int8 dot products and 8-wide fp32
 // tiles. This header is intrinsic-free — every vector instruction lives in
 // simd_kernels.cpp, the one translation unit built with -mavx2 -mfma
 // (CMakeLists guards the flags, cpu_features.hpp gates execution at
 // runtime), so including it never leaks ISA requirements into other TUs.
 //
-// Numerics contract (see DESIGN.md "SIMD kernel tier"):
-//  * int8 kernels are EXACT — bit-identical to the naive reference. The
-//    product a*w is computed as |a| * (w * sign(a)) so vpdpbusd/vpmaddubsw
-//    get their unsigned operand without any +128 shift or compensation
-//    term, and with |a| <= 127, |w| <= 127 the maddubs pair sums stay below
-//    int16 saturation. The int32 accumulator value is therefore identical
-//    to the naive loop's regardless of summation order, and the single
-//    requantization multiply matches the naive write-out bit for bit.
-//  * fp32 kernels are TOLERANCE-GATED — FMA fuses the multiply-add rounding
-//    and the dense row dots split the accumulation across 8 lanes, so
-//    results differ from the naive order by normal accumulation rounding.
-//    The auto-dispatch probe therefore never selects the fp32 SIMD path
-//    (it would break the byte-identical-across-modes rail); it runs only
-//    when KernelMode::kSimd is requested explicitly.
+// Numerics contract (see DESIGN.md "SIMD kernel tier"): every kernel here
+// is EXACT — bit-identical to the naive reference, so auto may select any
+// of them.
+//  * int8: the product a*w is computed as |a| * (w * sign(a)) so
+//    vpdpbusd/vpmaddubsw get their unsigned operand without any +128 shift
+//    or compensation term, and with |a| <= 127, |w| <= 127 the maddubs
+//    pair sums stay below int16 saturation. The int32 accumulator value is
+//    therefore identical to the naive loop's regardless of summation
+//    order, and the single requantization multiply matches the naive
+//    write-out bit for bit.
+//  * fp32: the tiles vectorize across independent outputs (8 output pixels
+//    or 8 samples per vector), never across one output's terms. Each lane
+//    starts from the bias and adds w*x as a separate multiply and add
+//    (never FMA: the naive TU has no FMA ISA), k or i ascending — the naive
+//    loop's order and rounding, term for term.
 //
 // int8 conv panel layout ("panel" arguments): output pixels are grouped in
 // blocks of 8 and the im2col k axis in groups of 4, matching one vpdpbusd:
@@ -35,19 +36,22 @@ namespace axsnn::kernels::simd {
 inline long RoundUp4(long v) { return (v + 3) & ~3L; }
 inline long RoundUp8(long v) { return (v + 7) & ~7L; }
 
-// --- fp32 (FMA tiles; tolerance-gated) ---------------------------------------
+// --- fp32 -------------------------------------------------------------------
 
 /// One sample's conv GEMM over a row-major im2col matrix col[kk][o_plane]:
-/// op[co][j] = bd[co] + sum_k wd[co*kk+k] * col[k][j], FMA-tiled 8 pixels
-/// wide with 4 tiles in flight; trailing pixels (o_plane % 8) accumulate
-/// scalar in the naive k order.
+/// op[co][j] = bd[co] + sum_k wd[co*kk+k] * col[k][j], k ascending, 8
+/// pixels per vector with 4 vectors in flight; trailing pixels (o_plane % 8)
+/// run the same order scalar. Zero weights are skipped, as Conv2dNaive
+/// skips them.
 void ConvGemmF32(const float* wd, const float* bd, const float* col,
                  float* op, long c_out, long kk, long o_plane);
 
-/// Dense rows [lo, hi): od[s][o] = bd[o] + dot(wd[o], xd[s]) with the dot
-/// split across 8 FMA lanes and reduced horizontally; f_in tail scalar.
-void DenseRowsF32(const float* wd, const float* bd, const float* xd,
-                  float* od, long lo, long hi, long f_in, long f_out);
+/// One 8-sample dense block over a transposed pack xt[i][j] = x[s0+j][i]
+/// (zero-filled past the nr live samples): os[j*f_out + o] = bd[o] +
+/// sum_i wd[o*f_in+i] * xt[i][j], i ascending, for j < nr. Zero weights
+/// are not skipped, as DenseNaive skips none.
+void DenseBlockF32(const float* wd, const float* bd, const float* xt,
+                   float* os, long nr, long f_in, long f_out);
 
 // --- int8 (exact) ------------------------------------------------------------
 

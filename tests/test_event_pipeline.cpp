@@ -253,10 +253,8 @@ TEST(EventPipeline, Fp32BitIdenticalAcrossDensitiesAndKernelModes) {
       {"half-dense", 0.5, false},
       {"saturated", 1.0, false},
   };
-  // fp32 SIMD is tolerance-gated (never auto-selected), so the exact-equality
-  // matrix covers the bit-identical modes only; int8 below covers kSimd.
   const KernelMode kModes[] = {KernelMode::kAuto, KernelMode::kNaive,
-                               KernelMode::kGemm, KernelMode::kSparse};
+                               KernelMode::kSparse, KernelMode::kSimd};
   for (const auto& c : kCases) {
     Tensor frames = RandomBinaryFrames(3, 6, 2, 16, 16, c.density, 41);
     if (c.silence_odd) SilenceOddSteps(frames);
@@ -278,7 +276,7 @@ TEST(EventPipeline, NonBinaryFramesFallBackToDense) {
   ExpectBitIdentical(dense, event, "non-binary fallback");
 }
 
-// --- End-to-end bit-identity: int8 backend, all five kernel modes ----------
+// --- End-to-end bit-identity: int8 backend, every kernel mode -------------
 
 TEST(EventPipeline, Int8BitIdenticalAcrossKernelModes) {
   snn::Network net = SmallDvsNet();
@@ -297,8 +295,7 @@ TEST(EventPipeline, Int8BitIdenticalAcrossKernelModes) {
   Tensor frames = RandomBinaryFrames(3, 6, 2, 16, 16, 0.4, 53);
   SilenceOddSteps(frames);
   const KernelMode kModes[] = {KernelMode::kAuto, KernelMode::kNaive,
-                               KernelMode::kGemm, KernelMode::kSparse,
-                               KernelMode::kSimd};
+                               KernelMode::kSparse, KernelMode::kSimd};
   for (KernelMode mode : kModes) {
     ScopedKernelMode scoped_mode(mode);
     Tensor dense = DenseLogits(ax, frames);

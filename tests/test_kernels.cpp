@@ -1,12 +1,10 @@
 // Differential kernel-equivalence suite for the sparsity-aware dispatch
-// engine (src/kernels/): every kernel flavour (naive / gemm / sparse /
-// simd) must produce the *same* result for the same inputs — bit-identical
-// for fp32 naive/gemm/sparse (identical per-element accumulation order, see
-// kernels/*.hpp), bit-identical for every int8 flavour including simd
+// engine (src/kernels/): every kernel flavour (naive / sparse / simd) must
+// produce the *same* result for the same inputs — bit-identical for fp32
+// (identical per-element accumulation order and rounding, see
+// kernels/*.hpp; the simd tiles at every ISA tier cap) and for int8 simd
 // (integer accumulation is exact and the requantize rounds identically —
-// kernels/simd_kernels.hpp), and within a documented accumulation-order
-// tolerance for fp32 simd (FMA fuses the rounding; that is why auto never
-// selects it).
+// kernels/simd_kernels.hpp), within one ULP for the other int8 flavours.
 //
 // The suite sweeps shapes (1x1 kernels, pad 0 and kernel-1, H=W=1, single
 // channels, odd sizes), spike densities 0 / 1% / 50% / 100%, and pool sizes
@@ -107,23 +105,12 @@ void ExpectWithinOneUlp(const Tensor& got, const Tensor& want,
         << " vs " << want[i];
 }
 
-/// The fp32 SIMD contract (kernels/simd_kernels.hpp): same math, different
-/// accumulation rounding (FMA fusion, 8-lane splits). Bounded by normal
-/// accumulation error at these fan-ins, nowhere near bit-identical — which
-/// is exactly why auto never picks the path.
-void ExpectWithinAccumTolerance(const Tensor& got, const Tensor& want,
-                                const char* what) {
-  ASSERT_EQ(got.shape(), want.shape()) << what;
-  for (long i = 0; i < got.numel(); ++i)
-    ASSERT_NEAR(got[i], want[i], 1e-4f + 1e-4f * std::fabs(want[i]))
-        << what << " diverges at flat index " << i;
-}
-
-/// True when the machine + build can run the AVX2 tier at all; the simd
-/// sweeps additionally pin the scalar degrade with ScopedSimdTier.
-bool SimdTierAvailable() {
-  return kernels::ActiveSimdTier() != kernels::SimdTier::kScalar;
-}
+/// The ISA tier caps every simd sweep runs under: the vnni cap, the avx2
+/// mask below it, and the forced-ISA-off scalar degrade (a cap above what
+/// the machine and build support changes nothing).
+const kernels::SimdTier kTierCaps[] = {kernels::SimdTier::kVnni,
+                                       kernels::SimdTier::kAvx2,
+                                       kernels::SimdTier::kScalar};
 
 // --- conv2d differential sweep ----------------------------------------------
 
@@ -138,6 +125,7 @@ const ConvCase kConvCases[] = {
     {1, 2, 2, 5, 5, 3, 2},  // pad = kernel-1 (full padding)
     {3, 4, 3, 1, 1, 1, 0},  // H = W = 1
     {1, 1, 1, 3, 3, 3, 2},  // single in/out channel, pad = kernel-1
+    {40, 2, 3, 6, 5, 3, 1},  // simd: 14 capped chunks of 3, last one short
 };
 
 const float kDensities[] = {0.0f, 0.01f, 0.5f, 1.0f};
@@ -169,20 +157,14 @@ TEST(KernelEquivalence, Conv2dFp32BitIdenticalAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.c_in, c.h, c.w}, density, rng);
         Tensor naive = RunConv(c, w, b, x, KernelMode::kNaive);
-        ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kGemm), naive,
-                           "conv2d gemm");
         ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kSparse), naive,
                            "conv2d sparse");
         ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kAuto), naive,
                            "conv2d auto");
-        if (SimdTierAvailable())
-          ExpectWithinAccumTolerance(RunConv(c, w, b, x, KernelMode::kSimd),
-                                     naive, "conv2d simd");
-        {
-          // Forced-ISA-off: simd must degrade to the scalar reference.
-          kernels::ScopedSimdTier scalar(kernels::SimdTier::kScalar);
+        for (kernels::SimdTier cap : kTierCaps) {
+          kernels::ScopedSimdTier scoped(cap);
           ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kSimd), naive,
-                             "conv2d simd (scalar degrade)");
+                             "conv2d simd");
         }
       }
     }
@@ -220,18 +202,13 @@ TEST(KernelEquivalence, Conv2dInt8WithinOneUlpAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.c_in, c.h, c.w}, density, rng);
         Tensor naive = RunConvInt8(c, qw, b, x, KernelMode::kNaive);
-        ExpectWithinOneUlp(RunConvInt8(c, qw, b, x, KernelMode::kGemm),
-                           naive, "int8 conv2d gemm");
         ExpectWithinOneUlp(RunConvInt8(c, qw, b, x, KernelMode::kSparse),
                            naive, "int8 conv2d sparse");
         ExpectWithinOneUlp(RunConvInt8(c, qw, b, x, KernelMode::kAuto),
                            naive, "int8 conv2d auto");
         // int8 simd is bit-exact at every tier (the stronger contract in
-        // kernels/simd_kernels.hpp), including the vnni->avx2 mask and the
-        // forced-ISA-off scalar degrade.
-        for (kernels::SimdTier cap :
-             {kernels::SimdTier::kVnni, kernels::SimdTier::kAvx2,
-              kernels::SimdTier::kScalar}) {
+        // kernels/simd_kernels.hpp).
+        for (kernels::SimdTier cap : kTierCaps) {
           kernels::ScopedSimdTier scoped(cap);
           ExpectBitIdentical(RunConvInt8(c, qw, b, x, KernelMode::kSimd),
                              naive, "int8 conv2d simd");
@@ -248,11 +225,13 @@ struct DenseCase {
 };
 
 const DenseCase kDenseCases[] = {
-    {1, 1, 1},    // degenerate single MAC
-    {4, 7, 5},    // odd sizes below one register tile
-    {9, 16, 3},   // ragged sample block (9 % kNr != 0)
-    {5, 33, 9},   // ragged feature tile (9 % kMr != 0)
-    {8, 64, 16},  // exact tiles
+    {1, 1, 1},      // degenerate single MAC
+    {4, 7, 5},      // odd sizes below one 8-sample block
+    {9, 16, 3},     // ragged sample block (9 % 8 != 0)
+    {5, 33, 9},     // ragged output rows (9 % 8 != 0)
+    {8, 64, 16},    // exact blocks
+    {20, 37, 11},   // simd: 8-sample chunks, the last one 4 live lanes
+    {48, 256, 64},  // the served digits model's fc1
 };
 
 Tensor RunDense(const DenseCase& c, const Tensor& w, const Tensor& b,
@@ -278,19 +257,14 @@ TEST(KernelEquivalence, DenseFp32BitIdenticalAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.f_in}, density, rng);
         Tensor naive = RunDense(c, w, b, x, KernelMode::kNaive);
-        ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kGemm), naive,
-                           "dense gemm");
         ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kSparse), naive,
                            "dense sparse");
         ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kAuto), naive,
                            "dense auto");
-        if (SimdTierAvailable())
-          ExpectWithinAccumTolerance(RunDense(c, w, b, x, KernelMode::kSimd),
-                                     naive, "dense simd");
-        {
-          kernels::ScopedSimdTier scalar(kernels::SimdTier::kScalar);
+        for (kernels::SimdTier cap : kTierCaps) {
+          kernels::ScopedSimdTier scoped(cap);
           ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kSimd), naive,
-                             "dense simd (scalar degrade)");
+                             "dense simd");
         }
       }
     }
@@ -324,15 +298,11 @@ TEST(KernelEquivalence, DenseInt8WithinOneUlpAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.f_in}, density, rng);
         Tensor naive = RunDenseInt8(c, qw, b, x, KernelMode::kNaive);
-        ExpectWithinOneUlp(RunDenseInt8(c, qw, b, x, KernelMode::kGemm),
-                           naive, "int8 dense gemm");
         ExpectWithinOneUlp(RunDenseInt8(c, qw, b, x, KernelMode::kSparse),
                            naive, "int8 dense sparse");
         ExpectWithinOneUlp(RunDenseInt8(c, qw, b, x, KernelMode::kAuto),
                            naive, "int8 dense auto");
-        for (kernels::SimdTier cap :
-             {kernels::SimdTier::kVnni, kernels::SimdTier::kAvx2,
-              kernels::SimdTier::kScalar}) {
+        for (kernels::SimdTier cap : kTierCaps) {
           kernels::ScopedSimdTier scoped(cap);
           ExpectBitIdentical(RunDenseInt8(c, qw, b, x, KernelMode::kSimd),
                              naive, "int8 dense simd");
@@ -346,11 +316,11 @@ TEST(KernelEquivalence, DenseInt8WithinOneUlpAcrossModes) {
 
 TEST(KernelDispatch, ModeNamesRoundTrip) {
   for (KernelMode m : {KernelMode::kAuto, KernelMode::kNaive,
-                       KernelMode::kGemm, KernelMode::kSparse,
-                       KernelMode::kSimd})
+                       KernelMode::kSparse, KernelMode::kSimd})
     EXPECT_EQ(kernels::ParseKernelMode(kernels::KernelModeName(m)), m);
   EXPECT_FALSE(kernels::ParseKernelMode("fast").has_value());
   EXPECT_FALSE(kernels::ParseKernelMode("").has_value());
+  EXPECT_FALSE(kernels::ParseKernelMode("gemm").has_value());  // retired
 }
 
 TEST(KernelDispatch, DensityCountsNonzerosExactly) {
@@ -364,21 +334,21 @@ TEST(KernelDispatch, DensityCountsNonzerosExactly) {
 TEST(KernelDispatch, ChooseByDensityProbesOnlyAuto) {
   using kernels::ChooseByDensity;
   const float max = kernels::kConvSparseDensityMax;
-  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max, max, KernelMode::kGemm),
+  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max, max, KernelMode::kSimd),
             KernelMode::kSparse);  // at the threshold: sparse
   EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max + 0.01f, max,
-                            KernelMode::kGemm),
-            KernelMode::kGemm);  // above: the family's dense fallback
+                            KernelMode::kSimd),
+            KernelMode::kSimd);  // above: the dense fallback
   EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max + 0.01f, max,
                             KernelMode::kNaive),
             KernelMode::kNaive);
-  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, 0.0f, max, KernelMode::kGemm),
+  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, 0.0f, max, KernelMode::kSimd),
             KernelMode::kSparse);
   // Pinned modes pass through regardless of density.
-  EXPECT_EQ(ChooseByDensity(KernelMode::kNaive, 0.0f, max, KernelMode::kGemm),
+  EXPECT_EQ(ChooseByDensity(KernelMode::kNaive, 0.0f, max, KernelMode::kSimd),
             KernelMode::kNaive);
-  EXPECT_EQ(ChooseByDensity(KernelMode::kGemm, 0.0f, max, KernelMode::kGemm),
-            KernelMode::kGemm);
+  EXPECT_EQ(ChooseByDensity(KernelMode::kSimd, 0.0f, max, KernelMode::kNaive),
+            KernelMode::kSimd);
 }
 
 TEST(KernelDispatch, KernelModeEnvValuesAreStrict) {
@@ -386,12 +356,12 @@ TEST(KernelDispatch, KernelModeEnvValuesAreStrict) {
   EXPECT_EQ(KernelModeFromEnv(nullptr), KernelMode::kAuto);  // unset
   EXPECT_EQ(KernelModeFromEnv("auto"), KernelMode::kAuto);
   EXPECT_EQ(KernelModeFromEnv("naive"), KernelMode::kNaive);
-  EXPECT_EQ(KernelModeFromEnv("gemm"), KernelMode::kGemm);
   EXPECT_EQ(KernelModeFromEnv("sparse"), KernelMode::kSparse);
   EXPECT_EQ(KernelModeFromEnv("simd"), KernelMode::kSimd);
-  // Empty, wrong case and trailing garbage are errors, never a silent auto.
-  for (const char* bad :
-       {"", "NAIVE", "Gemm", "gemmm", "simd ", " sparse", "auto1", "on"}) {
+  // Empty, wrong case, trailing garbage and the retired gemm are errors,
+  // never a silent auto.
+  for (const char* bad : {"", "NAIVE", "Gemm", "gemm", "gemmm", "simd ",
+                          " sparse", "auto1", "on"}) {
     try {
       KernelModeFromEnv(bad);
       ADD_FAILURE() << "accepted \"" << bad << "\"";
@@ -400,7 +370,7 @@ TEST(KernelDispatch, KernelModeEnvValuesAreStrict) {
       EXPECT_NE(what.find("AXSNN_KERNEL_MODE"), std::string::npos) << what;
       EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
           << what;
-      EXPECT_NE(what.find("auto, naive, gemm, sparse, simd"),
+      EXPECT_NE(what.find("auto, naive, sparse, simd"),
                 std::string::npos)
           << what;
     }
@@ -410,9 +380,9 @@ TEST(KernelDispatch, KernelModeEnvValuesAreStrict) {
 TEST(KernelDispatch, DecideKernelModeFamilyTable) {
   using kernels::KernelFamily;
   using kernels::SimdTier;
-  // The sparse threshold and dense fallback of each family, with and
-  // without a SIMD tier. fp32 never falls back to simd (its FMA order is
-  // tolerance-gated); int8 falls back to the exact simd kernels with a tier.
+  // The sparse threshold of each family, with and without a SIMD tier.
+  // Above it every family falls back to the exact simd kernels with a tier
+  // and to naive without one.
   struct Row {
     KernelFamily family;
     bool simd_tier;
@@ -421,9 +391,9 @@ TEST(KernelDispatch, DecideKernelModeFamilyTable) {
   };
   const Row rows[] = {
       {KernelFamily::kConvF32, false, 0.15f, KernelMode::kNaive},
-      {KernelFamily::kConvF32, true, 0.15f, KernelMode::kNaive},
-      {KernelFamily::kDenseF32, false, 0.15f, KernelMode::kGemm},
-      {KernelFamily::kDenseF32, true, 0.15f, KernelMode::kGemm},
+      {KernelFamily::kConvF32, true, 0.15f, KernelMode::kSimd},
+      {KernelFamily::kDenseF32, false, 0.15f, KernelMode::kNaive},
+      {KernelFamily::kDenseF32, true, 0.15f, KernelMode::kSimd},
       {KernelFamily::kConvI8, false, 0.15f, KernelMode::kNaive},
       {KernelFamily::kConvI8, true, 0.04f, KernelMode::kSimd},
       {KernelFamily::kDenseI8, false, 0.15f, KernelMode::kNaive},
@@ -448,26 +418,31 @@ TEST(KernelDispatch, DecideKernelModeFamilyTable) {
                                             tier),
                   d <= r.sparse_max ? KernelMode::kSparse : r.fallback)
             << where;
-        // Forced modes pass through; forced simd without a tier is naive.
-        for (KernelMode m : {KernelMode::kNaive, KernelMode::kGemm,
-                             KernelMode::kSparse, KernelMode::kSimd}) {
+        // Forced modes pass through; forced simd without a tier is naive;
+        // the retired gemm is refused.
+        for (KernelMode m : {KernelMode::kNaive, KernelMode::kSparse,
+                             KernelMode::kSimd}) {
           const KernelMode want =
               m == KernelMode::kSimd && !r.simd_tier ? KernelMode::kNaive : m;
           EXPECT_EQ(kernels::DecideKernelMode(r.family, m, d, tier), want)
               << where << " forced " << kernels::KernelModeName(m);
         }
+        EXPECT_THROW(
+            kernels::DecideKernelMode(r.family, KernelMode::kGemm, d, tier),
+            std::invalid_argument)
+            << where;
       }
     }
   }
-  // The fp32 fallbacks perfbench's probe repeats, spelled out.
+  // The fp32 fallbacks at the static model's traced densities, spelled out.
   EXPECT_EQ(kernels::DecideKernelMode(KernelFamily::kConvF32,
                                       KernelMode::kAuto, 0.33f,
                                       SimdTier::kAvx2),
-            KernelMode::kNaive);
+            KernelMode::kSimd);
   EXPECT_EQ(kernels::DecideKernelMode(KernelFamily::kDenseF32,
                                       KernelMode::kAuto, 0.33f,
-                                      SimdTier::kAvx2),
-            KernelMode::kGemm);
+                                      SimdTier::kScalar),
+            KernelMode::kNaive);
 }
 
 TEST(KernelDispatch, PlanKernelResolvesPacksAndReusesWords) {
@@ -499,7 +474,9 @@ TEST(KernelDispatch, PlanKernelResolvesPacksAndReusesWords) {
         KernelFamily::kDenseF32, KernelMode::kAuto, x.data(), 2, 70, scratch,
         &packed);
     EXPECT_EQ(reused.words, given);
-    EXPECT_EQ(reused.mode, KernelMode::kGemm);  // density 1
+    EXPECT_EQ(reused.mode, tier == kernels::SimdTier::kScalar
+                               ? KernelMode::kNaive
+                               : KernelMode::kSimd);  // density 1
     // A forced dense mode needs no words.
     const kernels::KernelPlan naive = kernels::PlanKernel(
         KernelFamily::kDenseF32, KernelMode::kNaive, x.data(), 2, 70, scratch,
@@ -518,11 +495,11 @@ TEST(KernelDispatch, PlanKernelResolvesPacksAndReusesWords) {
 
 TEST(KernelDispatch, GlobalModeOverridesRequested) {
   {
-    ScopedKernelMode force(KernelMode::kGemm);
+    ScopedKernelMode force(KernelMode::kSimd);
     EXPECT_EQ(kernels::ResolveKernelMode(KernelMode::kSparse),
-              KernelMode::kGemm);
+              KernelMode::kSimd);
     EXPECT_EQ(kernels::ResolveKernelMode(KernelMode::kAuto),
-              KernelMode::kGemm);
+              KernelMode::kSimd);
   }
   ScopedKernelMode neutral(KernelMode::kAuto);
   EXPECT_EQ(kernels::ResolveKernelMode(KernelMode::kSparse),
@@ -547,8 +524,8 @@ TEST(KernelDispatch, ApproxConfigKnobReachesLayers) {
   approx::CalibrationStats stats = approx::Calibrate(net, input);
 
   std::vector<Tensor> outs;
-  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kGemm,
-                          KernelMode::kSparse, KernelMode::kAuto}) {
+  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kSparse,
+                          KernelMode::kSimd, KernelMode::kAuto}) {
     approx::ApproxConfig cfg;
     cfg.precision = approx::Precision::kInt8;
     cfg.level = 0.01;
@@ -559,6 +536,29 @@ TEST(KernelDispatch, ApproxConfigKnobReachesLayers) {
   }
   for (std::size_t i = 1; i < outs.size(); ++i)
     ExpectWithinOneUlp(outs[i], outs[0], "ApproxConfig kernel_mode logits");
+}
+
+TEST(KernelDispatch, RetiredGemmModeThrowsFromFirstKernelCall) {
+  Rng rng(46);
+  snn::Dense fc("fc", 16, 4, rng);
+  Tensor x = Tensor::Uniform({3, 16}, 0.0f, 1.0f, rng);
+  Tensor out;
+  {
+    ScopedKernelMode force(KernelMode::kGemm);  // the global mode
+    EXPECT_THROW(fc.ForwardInto(x, out, false), std::invalid_argument);
+  }
+  ScopedKernelMode neutral(KernelMode::kAuto);
+  fc.set_kernel_mode(KernelMode::kGemm);  // a layer's mode
+  try {
+    fc.ForwardInto(x, out, false);
+    ADD_FAILURE() << "a layer ran kernel mode gemm";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("auto, naive, sparse, simd"),
+              std::string::npos)
+        << e.what();
+  }
+  fc.set_kernel_mode(KernelMode::kAuto);
+  EXPECT_NO_THROW(fc.ForwardInto(x, out, false));
 }
 
 TEST(KernelDispatch, LayerKnobDefaultsToAutoAndSticks) {
@@ -603,8 +603,8 @@ TEST(GoldenDeterminism, SweepReportByteIdenticalAcrossModesAndPools) {
   };
 
   std::string golden;
-  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kGemm,
-                          KernelMode::kSparse, KernelMode::kAuto}) {
+  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kSparse,
+                          KernelMode::kSimd, KernelMode::kAuto}) {
     for (int threads : {1, 4}) {
       ScopedThreads pool(threads);
       ScopedKernelMode force(mode);

@@ -294,8 +294,8 @@ TEST(ScenarioEngine, KernelModeAxisNeverChangesResults) {
   scenario::ScenarioGrid grid = MiniStaticGrid();
   grid.epsilons = {0.05};
   grid.kernel_modes = {std::nullopt, kernels::KernelMode::kNaive,
-                       kernels::KernelMode::kGemm,
-                       kernels::KernelMode::kSparse};
+                       kernels::KernelMode::kSparse,
+                       kernels::KernelMode::kSimd};
   const auto outcome = engine.Run(grid);
   for (std::size_t il = 0; il < grid.levels.size(); ++il) {
     const float reference = outcome.Robustness(0, 0, 0, 0, 0, 0, il, 0);

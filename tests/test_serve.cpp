@@ -113,7 +113,6 @@ TEST(Serve, BatchedMatchesSequentialBitwiseAcrossKernelModesAndPools) {
   } kModes[] = {
       {kernels::KernelMode::kAuto, "auto"},
       {kernels::KernelMode::kNaive, "naive"},
-      {kernels::KernelMode::kGemm, "gemm"},
       {kernels::KernelMode::kSparse, "sparse"},
       {kernels::KernelMode::kSimd, "simd"},
   };

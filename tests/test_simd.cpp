@@ -242,8 +242,7 @@ TEST(WorkspaceSteadyState, RepeatForwardsAllocateNothing) {
 
   for (kernels::KernelMode mode :
        {kernels::KernelMode::kAuto, kernels::KernelMode::kNaive,
-        kernels::KernelMode::kGemm, kernels::KernelMode::kSparse,
-        kernels::KernelMode::kSimd}) {
+        kernels::KernelMode::kSparse, kernels::KernelMode::kSimd}) {
     // First call may grow arenas (and spin up the pool); from the second
     // call on, the same shapes must be allocation-free.
     AllocationsForConvForward(qw, bias, x, out, mode, scratch);
