@@ -55,10 +55,11 @@ core::StaticWorkbench::Options HeatmapOptions();
 core::DvsWorkbench::Options DvsOptions();
 
 /// The miniature fig2-style workbench (2-epoch training on 192 synthetic
-/// digits, 3-step PGD, T caps 6) shared by the scenario-golden CI gate and
-/// the micro_runtime scenario section — and mirrored, to stay
-/// self-contained, by the golden determinism tests. Seconds to train, yet
-/// it exercises the full train -> craft -> variant-evaluation pipeline.
+/// digits, 3-step PGD, T caps 6) shared by the scenario-golden and
+/// fault-golden CI gates (scenario_golden.cpp, fig8_bitflip.cpp) — and
+/// mirrored, to stay self-contained, by the golden determinism tests.
+/// Seconds to train, yet it exercises the full train -> craft ->
+/// variant-evaluation pipeline.
 core::StaticWorkbench MiniFig2Workbench();
 
 /// Default artifact-store directory of the heatmap benches (created on

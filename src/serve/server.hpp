@@ -18,8 +18,8 @@
 //  * Determinism contract: a batch-of-N result is bit-identical to N
 //    sequential single-sample forwards at every kernel mode and pool size —
 //    every kernel treats samples independently and the readout accumulates
-//    per sample in ReadoutMean order (pinned by tests/test_serve.cpp and
-//    the bench_serving CI smoke leg).
+//    per sample in ReadoutMean order (pinned by tests/test_serve.cpp at
+//    micro-batch caps 1, 8 and 16).
 //  * Model hot-swap: the served weights live in an immutable snapshot
 //    behind a mutex-guarded shared_ptr. SwapModel
 //    publishes a new snapshot with a bumped epoch; workers notice the epoch

@@ -38,7 +38,11 @@ void Dense::SizeStepOutput(const Tensor& x, Tensor& out) {
   AXSNN_CHECK(x.numel() % in_features_ == 0,
               "Dense " << Name() << ": step input numel " << x.numel()
                        << " not divisible by in_features " << in_features_);
-  out.ResizeTo({x.numel() / in_features_, out_features_});
+  const long n = x.numel() / in_features_;
+  // Skip ResizeTo when the shape already matches: the temporary Shape it
+  // takes would allocate on every timestep of an EventRunner::Run.
+  if (out.rank() != 2 || out.dim(0) != n || out.dim(1) != out_features_)
+    out.ResizeTo({n, out_features_});
 }
 
 void Dense::RunKernel(const Tensor& x, Tensor& out,

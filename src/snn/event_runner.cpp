@@ -18,11 +18,12 @@ const Tensor& EventRunner::Run(const kernels::SpikeStream& stream) {
   stats_.time_steps = t_steps;
   stats_.batch = batch;
 
-  Shape in_shape;
-  in_shape.reserve(1 + stream.sample_shape().size());
-  in_shape.push_back(batch);
-  for (long d : stream.sample_shape()) in_shape.push_back(d);
-  Tensor& x0 = ws_.Acquire(0, in_shape);
+  // Rebuilt in place: a fresh Shape would allocate on every Run.
+  in_shape_.clear();
+  in_shape_.push_back(batch);
+  in_shape_.insert(in_shape_.end(), stream.sample_shape().begin(),
+                   stream.sample_shape().end());
+  Tensor& x0 = ws_.Acquire(0, in_shape_);
   x0_zeroed_ = false;  // Acquire leaves contents unspecified
 
   if (planes_.size() != static_cast<std::size_t>(n_layers)) {

@@ -68,6 +68,7 @@ class EventRunner {
   // Every layer owns a dedicated slot so its buffer (and therefore its
   // silent-fill cache) survives across timesteps.
   runtime::Workspace ws_;
+  Shape in_shape_;  // [B, sample...] of slot 0, reused across runs
   Tensor logits_;
   SpikePlanes lanes_[2];  // inter-layer masks, ping-ponged per layer
   // Per-layer output plane sizes (elements per sample), learned on the

@@ -4,9 +4,11 @@
 //  * model hot-swap under sustained load drops and corrupts nothing — every
 //    response matches the reference of the epoch that served it;
 //  * steady-state serving performs zero heap allocations (per-TU
-//    operator-new hooks, same technique as bench/micro_runtime.cpp);
+//    operator-new hooks, same technique as tests/test_simd.cpp);
 //  * the adaptive micro-batcher actually coalesces bursts;
-//  * a malformed request fails cleanly without poisoning its neighbors.
+//  * a malformed request fails cleanly without poisoning its neighbors, and
+//    a swap to a shape-incompatible model fails requests, not the server;
+//  * destroying the server completes every request still queued.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,8 +122,6 @@ TEST(Serve, BatchedMatchesSequentialBitwiseAcrossKernelModesAndPools) {
   snn::Network model = MakeServeNet();
   for (const auto& m : kModes) {
     for (int pool_size : {1, 4}) {
-      SCOPED_TRACE(std::string("mode=") + m.name +
-                   " pool=" + std::to_string(pool_size));
       kernels::ScopedKernelMode scoped(m.mode);
       runtime::SetGlobalThreads(pool_size);
 
@@ -134,23 +134,29 @@ TEST(Serve, BatchedMatchesSequentialBitwiseAcrossKernelModesAndPools) {
         expected.push_back(SequentialLogits(reference, requests[i].frames));
       }
 
-      serve::ServerOptions opts;
-      opts.workers = 2;
-      opts.max_batch = 8;
-      opts.max_delay = std::chrono::microseconds(2000);
-      serve::InferenceServer server(model, opts);
-      for (auto& req : requests) server.Submit(req);
-      for (auto& req : requests) req.Wait();
-      server.Drain();  // synchronize with the batch-level stats update
+      // Caps from no coalescing at all up to the whole burst in one batch.
+      for (long max_batch : {1L, 8L, 16L}) {
+        SCOPED_TRACE(std::string("mode=") + m.name +
+                     " pool=" + std::to_string(pool_size) +
+                     " max_batch=" + std::to_string(max_batch));
+        serve::ServerOptions opts;
+        opts.workers = 2;
+        opts.max_batch = max_batch;
+        opts.max_delay = std::chrono::microseconds(2000);
+        serve::InferenceServer server(model, opts);
+        for (auto& req : requests) server.Submit(req);
+        for (auto& req : requests) req.Wait();
+        server.Drain();  // synchronize with the batch-level stats update
 
-      for (int i = 0; i < kRequests; ++i) {
-        ASSERT_TRUE(requests[i].ok()) << "request " << i << " failed";
-        EXPECT_TRUE(BitIdentical(requests[i].logits, expected[i]))
-            << "request " << i << " diverged from its sequential forward";
+        for (int i = 0; i < kRequests; ++i) {
+          ASSERT_TRUE(requests[i].ok()) << "request " << i << " failed";
+          EXPECT_TRUE(BitIdentical(requests[i].logits, expected[i]))
+              << "request " << i << " diverged from its sequential forward";
+        }
+        const auto stats = server.stats();
+        EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
+        EXPECT_EQ(stats.failed, 0u);
       }
-      const auto stats = server.stats();
-      EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
-      EXPECT_EQ(stats.failed, 0u);
     }
   }
   runtime::SetGlobalThreads(0);  // restore default for later tests
@@ -320,6 +326,64 @@ TEST(Serve, MalformedRequestFailsWithoutPoisoningNeighbors) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(Serve, SwapToShapeIncompatibleModelFailsRequestsNotTheServer) {
+  snn::Network model = MakeServeNet();
+  snn::StaticNetOptions small_opts;
+  small_opts.height = 8;
+  small_opts.width = 8;
+  const snn::Network small = snn::BuildStaticNet(small_opts);
+
+  serve::ServerOptions opts;
+  opts.workers = 1;
+  opts.max_batch = 4;
+  opts.max_delay = std::chrono::microseconds(0);
+  serve::InferenceServer server(model, opts);
+
+  serve::InferRequest req;
+  FillRequest(req, 3);  // 16x16 frames, which the 8x8 model cannot take
+  snn::Network reference = model.Clone();
+  const Tensor expected = SequentialLogits(reference, req.frames);
+
+  server.SwapModel(small);
+  server.Submit(req);
+  req.Wait();
+  EXPECT_FALSE(req.ok());
+  EXPECT_EQ(req.model_epoch(), 2u);
+  EXPECT_THROW(req.RethrowIfFailed(), std::invalid_argument);
+
+  server.SwapModel(model);
+  server.Submit(req);
+  req.Wait();
+  ASSERT_TRUE(req.ok());
+  EXPECT_EQ(req.model_epoch(), 3u);
+  EXPECT_TRUE(BitIdentical(req.logits, expected));
+
+  server.Drain();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(Serve, DestructionCompletesEveryQueuedRequest) {
+  constexpr int kRequests = 32;
+  snn::Network model = MakeServeNet();
+  // Declared before the server: the requests must outlive its drain.
+  std::vector<serve::InferRequest> requests(kRequests);
+  for (int i = 0; i < kRequests; ++i)
+    FillRequest(requests[i], static_cast<std::uint64_t>(i));
+  {
+    serve::ServerOptions opts;
+    opts.workers = 1;
+    opts.max_batch = 2;
+    serve::InferenceServer server(model, opts);
+    for (auto& req : requests) server.Submit(req);
+  }  // destroyed with most of the burst still queued
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(requests[i].done()) << "request " << i << " was dropped";
+    EXPECT_TRUE(requests[i].ok()) << "request " << i << " failed";
+  }
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // bit-packed spike words (kernels/spike_words.*), and the runtime arena
 // guarantees the microkernels rely on — 64-byte alignment of every
 // Workspace arena and allocation-free steady state (the panels, padded
-// weights and spike words all live in never-shrink slots).
+// weights and spike words all live in never-shrink slots), from one
+// kernel call up to a whole Network::ForwardShared and EventRunner::Run.
 //
 // The kernel-level differential sweeps live in test_kernels.cpp; this file
 // covers the supporting machinery.
@@ -10,17 +11,24 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "approx/int8_backend.hpp"
+#include "data/dvs_gesture.hpp"
+#include "data/event.hpp"
 #include "kernels/cpu_features.hpp"
 #include "kernels/dispatch.hpp"
+#include "kernels/spike_stream.hpp"
 #include "kernels/spike_words.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
+#include "snn/event_runner.hpp"
+#include "snn/models.hpp"
+#include "snn/weight_layer.hpp"
 #include "tensor/quantized.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
@@ -217,6 +225,14 @@ TEST(WorkspaceAlignment, TensorStorageIs64ByteAligned) {
 
 // --- steady-state allocation freedom -----------------------------------------
 
+/// Heap allocations made by one call of `fn`.
+template <typename Fn>
+long AllocationsOf(Fn&& fn) {
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
 /// Runs one int8 conv forward through the full dispatcher (quantize +
 /// kernels) and returns the number of heap allocations it performed.
 long AllocationsForConvForward(const QuantizedTensor& qw, const Tensor& bias,
@@ -224,10 +240,10 @@ long AllocationsForConvForward(const QuantizedTensor& qw, const Tensor& bias,
                                kernels::KernelMode mode,
                                runtime::Workspace& scratch) {
   kernels::ScopedKernelMode force(mode);
-  const long before = g_allocations.load(std::memory_order_relaxed);
-  approx::Int8Conv2dForward(qw, bias, x, out,
-                            kernels::Conv2dGeom{2, 3, 3, 1}, mode, scratch);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return AllocationsOf([&] {
+    approx::Int8Conv2dForward(qw, bias, x, out,
+                              kernels::Conv2dGeom{2, 3, 3, 1}, mode, scratch);
+  });
 }
 
 TEST(WorkspaceSteadyState, RepeatForwardsAllocateNothing) {
@@ -248,6 +264,50 @@ TEST(WorkspaceSteadyState, RepeatForwardsAllocateNothing) {
     AllocationsForConvForward(qw, bias, x, out, mode, scratch);
     EXPECT_EQ(AllocationsForConvForward(qw, bias, x, out, mode, scratch), 0)
         << "mode " << kernels::KernelModeName(mode);
+  }
+  runtime::SetGlobalThreads(0);
+}
+
+TEST(WorkspaceSteadyState, NetworkForwardSharedAllocatesNothing) {
+  Rng rng(123);
+  const Tensor x = Tensor::Uniform({8, 16, 1, 16, 16}, 0.0f, 1.0f, rng);
+  for (bool int8 : {false, true}) {
+    for (int pool : {1, 4}) {
+      SCOPED_TRACE(std::string(int8 ? "int8" : "fp32") +
+                   " pool=" + std::to_string(pool));
+      runtime::SetGlobalThreads(pool);
+      snn::Network net = snn::BuildStaticNet({});
+      if (int8) {
+        for (std::size_t i = 0; i < net.size(); ++i)
+          if (auto* w = dynamic_cast<snn::WeightLayer*>(&net.layer(i)))
+            w->EnableInt8Kernel();
+      }
+      net.ForwardShared(x, false);  // warm-up sizes every slot and arena
+      EXPECT_EQ(AllocationsOf([&] { net.ForwardShared(x, false); }), 0);
+    }
+  }
+  runtime::SetGlobalThreads(0);
+}
+
+TEST(WorkspaceSteadyState, EventRunnerRunAllocatesNothing) {
+  data::DvsGestureOptions dopts;
+  dopts.count = 8;
+  dopts.width = 16;
+  dopts.height = 16;
+  const data::EventDataset ds = data::MakeSyntheticDvsGesture(dopts);
+  kernels::SpikeStream stream;
+  data::BinRangePacked(ds, 0, ds.size(), /*bins=*/64, stream);
+
+  for (int pool : {1, 4}) {
+    SCOPED_TRACE("pool=" + std::to_string(pool));
+    runtime::SetGlobalThreads(pool);
+    snn::DvsNetOptions nopts;
+    nopts.height = 16;
+    nopts.width = 16;
+    snn::Network net = snn::BuildDvsNet(nopts);
+    snn::EventRunner runner(net);
+    runner.Run(stream);  // warm-up sizes every slot, lane and fill cache
+    EXPECT_EQ(AllocationsOf([&] { runner.Run(stream); }), 0);
   }
   runtime::SetGlobalThreads(0);
 }
