@@ -6,17 +6,21 @@
 //  * pool_scaling — one static-net forward pass [T=8, B=16, 1, 16, 16] at
 //    pool sizes 1, 2, 4 and hardware_concurrency;
 //  * kernel_dispatch — naive vs sparse vs simd vs auto for one conv and one
-//    dense layer, fp32 and int8, at 10% spike density. Gate: in every
-//    family the auto median is at most 1.10x the naive median, else the
-//    process exits 1 (the margin absorbs timer noise on shared runners);
-//  * kernel_simd — the same layers with simd forced at every ISA tier the
+//    dense layer, fp32 and int8, at 10% spike density, and for the conv's
+//    two Backward halves (dX and dW, fed a dense gradient; no sparse
+//    kernel, so sparse runs the dense fallback). Gate: in every family the
+//    auto median is at most 1.10x the naive median, else the process exits
+//    1 (the margin absorbs timer noise on shared runners);
+//  * kernel_simd — the same kernels with simd forced at every ISA tier the
 //    machine supports, so records from different CPUs line up tier by tier;
 //  * event_pipeline — DVS end to end (events -> binning -> predictions),
 //    dense [N, T, C, H, W] reference path vs packed spike-stream event
 //    path, per silent-timestep fraction, at pool 1 and the default pool;
 //  * backward — one training batch, ForwardShared(x, true) then
 //    Network::Backward, on the static net [T=6, B=32] and the DVS net
-//    [T=12, B=32], at pool 1 and the default pool.
+//    [T=12, B=32], at pool 1 and the default pool, once per request the
+//    callers make: the trainer's (parameter gradients) and the attacks'
+//    (input gradient).
 //
 // Steady-state allocation freedom is a test (tests/test_simd.cpp,
 // WorkspaceSteadyState), as are bit-identity across kernel modes and
@@ -30,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -46,6 +51,7 @@
 #include "snn/event_path.hpp"
 #include "snn/event_runner.hpp"
 #include "snn/inference.hpp"
+#include "snn/layer.hpp"
 #include "snn/loss.hpp"
 #include "snn/models.hpp"
 #include "tensor/random.hpp"
@@ -158,30 +164,39 @@ std::vector<int> PoolSizes() {
   return {1, pool};
 }
 
-Timing TimeForward(snn::Layer& layer, const Tensor& x, int repeats) {
-  Tensor out;
-  return TimeMs(repeats, [&] { layer.ForwardInto(x, out, false); });
-}
-
 constexpr float kSpikeDensity = 0.10f;
 
-/// Calls fn(family, layer, input) for the kernel families the kernel
-/// sections compare: a 3x3 conv 8 -> 16 on [8, 16, 8, 16, 16] and a dense
-/// 512 -> 128 on [16, 64, 512], fp32 then int8, on fresh layers fed spikes
-/// at the representative SNN density.
+/// Calls fn(family, run) for the kernel families the kernel sections
+/// compare, where run() makes one kernel call: a 3x3 conv 8 -> 16 on
+/// [8, 16, 8, 16, 16] and a dense 512 -> 128 on [16, 64, 512], fp32 then
+/// int8, on fresh layers fed spikes at the representative SNN density;
+/// between them the conv's Backward halves (its fp32 weights), fed a dense
+/// gradient as the surrogate makes it.
 template <typename Fn>
 void ForEachKernelFamily(Fn&& fn) {
   Rng rng(7);
+  Tensor out;
   snn::Conv2d conv("c", 8, 16, 3, 1, rng);
   const Tensor cx = bench::MakeSpikes({8, 16, 8, 16, 16}, kSpikeDensity, rng);
-  fn("conv2d_fp32", conv, cx);
+  auto forward = [&](snn::Layer& layer, const Tensor& x) {
+    return [&layer, &x, &out] { layer.ForwardInto(x, out, false); };
+  };
+  fn("conv2d_fp32", forward(conv, cx));
+  // A training forward caches the input Backward reads.
+  conv.ForwardInto(cx, out, true);
+  const Tensor grad = Tensor::Uniform(out.shape(), -1.0f, 1.0f, rng);
+  Tensor grad_in;
+  fn("conv2d_dx_fp32",
+     [&] { conv.BackwardInto(grad, grad_in, snn::GradRequest::kInput); });
+  fn("conv2d_dw_fp32",
+     [&] { conv.BackwardInto(grad, grad_in, snn::GradRequest::kParams); });
   conv.EnableInt8Kernel();
-  fn("conv2d_int8", conv, cx);
+  fn("conv2d_int8", forward(conv, cx));
   snn::Dense fc("fc", 512, 128, rng);
   const Tensor dx = bench::MakeSpikes({16, 64, 512}, kSpikeDensity, rng);
-  fn("dense_fp32", fc, dx);
+  fn("dense_fp32", forward(fc, dx));
   fc.EnableInt8Kernel();
-  fn("dense_int8", fc, dx);
+  fn("dense_int8", forward(fc, dx));
 }
 
 void PoolScaling(JsonWriter& json, int repeats) {
@@ -233,14 +248,14 @@ bool KernelDispatch(JsonWriter& json, int repeats) {
   json.Num("spike_density", kSpikeDensity);
   bool all_ok = true;
   ForEachKernelFamily(
-      [&](const char* family, snn::Layer& layer, const Tensor& x) {
+      [&](const char* family, const std::function<void()>& run) {
         Timing t[4];
         for (int m = 0; m < 4; ++m) {
           // Forced through ScopedKernelMode (precedence rule 1), so the
           // comparison holds while AXSNN_KERNEL_MODE is exported, as in
           // the CI kernel-mode legs.
           kernels::ScopedKernelMode force(kModes[m]);
-          t[m] = TimeForward(layer, x, repeats);
+          t[m] = TimeMs(repeats, run);
         }
         const double naive = t[0].median_ms;
         const double auto_over_naive = t[3].median_ms / naive;
@@ -248,7 +263,7 @@ bool KernelDispatch(JsonWriter& json, int repeats) {
             naive / std::min(t[1].median_ms, t[2].median_ms);
         const bool ok = auto_over_naive <= kAutoMargin;
         all_ok = all_ok && ok;
-        std::printf("  %-11s", family);
+        std::printf("  %-14s", family);
         for (int m = 0; m < 4; ++m)
           std::printf("  %s %6.3f (%6.3f)", kernels::KernelModeName(kModes[m]),
                       t[m].median_ms, t[m].min_ms);
@@ -288,8 +303,8 @@ void KernelSimd(JsonWriter& json, int repeats) {
     json.Open(nullptr, '{', /*flat=*/true);
     json.Str("tier", tier);
     ForEachKernelFamily(
-        [&](const char* family, snn::Layer& layer, const Tensor& x) {
-          const Timing t = TimeForward(layer, x, repeats);
+        [&](const char* family, const std::function<void()>& run) {
+          const Timing t = TimeMs(repeats, run);
           std::printf("  %s %7.3f", family, t.median_ms);
           json.Time(family, t);
         });
@@ -401,9 +416,10 @@ void EventPipeline(JsonWriter& json, int repeats) {
 }
 
 /// One training batch, split into its forward (ForwardShared with train on,
-/// which fills the Backward caches) and its Network::Backward. Backward
-/// reads only those caches, so repeating it after one forward times the
-/// same work a training step does.
+/// which fills the Backward caches) and its Network::Backward, once for
+/// the trainer's request (parameter gradients) and once for the attacks'
+/// (input gradient). Backward reads only those caches, so repeating it
+/// after one forward times the same work a training or crafting step does.
 void Backward(JsonWriter& json, int repeats) {
   Rng rng(5);
   struct Case {
@@ -424,12 +440,17 @@ void Backward(JsonWriter& json, int repeats) {
 
   std::printf("\nbackward: one training batch, %d repeats, median (min) "
               "ms:\n"
-              "  net                        pool       forward         "
-              "backward    backward/forward\n",
+              "  net                        pool  request       forward      "
+              "   backward    backward/forward\n",
               repeats);
   json.Open("backward", '{');
   json.Int("repeats", repeats);
   json.Open("rows", '[');
+  const struct {
+    const char* name;
+    snn::GradRequest request;
+  } requests[] = {{"params", snn::GradRequest::kParams},
+                  {"input", snn::GradRequest::kInput}};
   for (Case& c : cases) {
     const long t_steps = c.x.dim(0);
     const Tensor& seq = c.net.ForwardShared(c.x, true);
@@ -439,18 +460,23 @@ void Backward(JsonWriter& json, int repeats) {
       runtime::SetGlobalThreads(pool);
       const Timing fwd =
           TimeMs(repeats, [&] { c.net.ForwardShared(c.x, true); });
-      const Timing bwd = TimeMs(repeats, [&] { c.net.Backward(grad); });
-      const double ratio = bwd.median_ms / fwd.median_ms;
-      std::printf("  %-26s %4d   %6.2f (%6.2f)   %6.2f (%6.2f)   %5.2fx\n",
-                  c.name, pool, fwd.median_ms, fwd.min_ms, bwd.median_ms,
-                  bwd.min_ms, ratio);
-      json.Open(nullptr, '{', /*flat=*/true);
-      json.Str("net", c.name);
-      json.Int("pool", pool);
-      json.Time("forward", fwd);
-      json.Time("backward", bwd);
-      json.Num("backward_over_forward", ratio);
-      json.Close();
+      for (const auto& r : requests) {
+        const Timing bwd =
+            TimeMs(repeats, [&] { c.net.Backward(grad, r.request); });
+        const double ratio = bwd.median_ms / fwd.median_ms;
+        std::printf("  %-26s %4d  %-7s  %6.2f (%6.2f)   %6.2f (%6.2f)   "
+                    "%5.2fx\n",
+                    c.name, pool, r.name, fwd.median_ms, fwd.min_ms,
+                    bwd.median_ms, bwd.min_ms, ratio);
+        json.Open(nullptr, '{', /*flat=*/true);
+        json.Str("net", c.name);
+        json.Int("pool", pool);
+        json.Str("request", r.name);
+        json.Time("forward", fwd);
+        json.Time("backward", bwd);
+        json.Num("backward_over_forward", ratio);
+        json.Close();
+      }
     }
   }
   json.Close();

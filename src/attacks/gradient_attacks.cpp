@@ -63,10 +63,11 @@ Tensor IterativeAttack(snn::Network& net, const Tensor& images,
       Tensor logits = snn::ReadoutMean(seq);
       snn::LossResult loss = snn::SoftmaxCrossEntropy(logits, batch_labels);
 
-      net.ZeroGrad();
       Tensor grad_seq =
           snn::ReadoutMeanBackward(loss.grad_logits, cfg.time_steps);
-      Tensor grad_input = net.Backward(grad_seq);
+      // Only the input gradient is read: no layer accumulates dW/db.
+      const Tensor& grad_input =
+          net.Backward(grad_seq, snn::GradRequest::kInput);
       Tensor grad_image = snn::CollapseTimeGradient(grad_input);
 
       // Ascent step on the sign of the gradient, then project back into the

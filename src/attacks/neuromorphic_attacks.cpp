@@ -50,10 +50,11 @@ data::EventStream SparseAttack(snn::Network& net,
     if (logits.Argmax() != label) break;  // already fooled — stay stealthy
 
     snn::LossResult loss = snn::SoftmaxCrossEntropy(logits, labels);
-    net.ZeroGrad();
     Tensor grad_seq =
         snn::ReadoutMeanBackward(loss.grad_logits, cfg.time_bins);
-    Tensor grad_input = net.Backward(grad_seq);  // [T,1,2,H,W]
+    // Only the input gradient is read: no layer accumulates dW/db.
+    const Tensor& grad_input =
+        net.Backward(grad_seq, snn::GradRequest::kInput);  // [T,1,2,H,W]
 
     // Collect the empty frame cells whose activation would increase the
     // loss the most (positive gradient, no event there yet).

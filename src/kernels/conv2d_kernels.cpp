@@ -101,6 +101,92 @@ void Conv2dNaive(const float* xd, const float* wd, const float* bd, float* od,
   });
 }
 
+// --- naive fp32 Backward (reference; the seed repo's loops, retained verbatim)
+
+/// Weight/bias gradients: parallelize over output channels so each
+/// iteration owns a disjoint slice of dweight/dbias (no atomics needed).
+/// The inner loop over ox is a contiguous dot product between a gradient
+/// row and a shifted input row.
+void Conv2dBackwardParamsNaive(const float* xd, const float* gd, float* gwd,
+                               float* gbd, const Dims& d) {
+  runtime::ParallelFor(0, d.c_out, [&](long co) {
+    float* gw = gwd + co * d.w_per_out;
+    double gb = 0.0;
+    for (long s = 0; s < d.n; ++s) {
+      const float* xs = xd + s * d.x_sample;
+      const float* gp = gd + s * d.o_sample + co * d.o_plane;
+      for (long i = 0; i < d.o_plane; ++i) gb += gp[i];
+      for (long ci = 0; ci < d.c_in; ++ci) {
+        const float* xp = xs + ci * d.x_plane;
+        float* gwp = gw + ci * d.kernel * d.kernel;
+        for (long ky = 0; ky < d.kernel; ++ky) {
+          for (long kx = 0; kx < d.kernel; ++kx) {
+            const long ox_lo = std::max(0L, d.pad - kx);
+            const long ox_hi = std::min(d.w_out, d.w + d.pad - kx);
+            float acc = 0.0f;
+            for (long oy = 0; oy < d.h_out; ++oy) {
+              const long iy = oy + ky - d.pad;
+              if (iy < 0 || iy >= d.h) continue;
+              const float* xrow = xp + iy * d.w + (kx - d.pad);
+              const float* grow = gp + oy * d.w_out;
+              for (long ox = ox_lo; ox < ox_hi; ++ox)
+                acc += grow[ox] * xrow[ox];
+            }
+            gwp[ky * d.kernel + kx] += acc;
+          }
+        }
+      }
+    }
+    gbd[co] += static_cast<float>(gb);
+  });
+}
+
+/// Input gradient: parallelize over samples (disjoint grad_in slices);
+/// contiguous saxpy over ox per (co, ci, ky, kx, oy). Each sample's slice
+/// starts from zero.
+void Conv2dBackwardInputNaive(const float* wd, const float* gd, float* gid,
+                              const Dims& d) {
+  runtime::ParallelFor(0, d.n, [&](long s) {
+    const float* gs = gd + s * d.o_sample;
+    float* gi = gid + s * d.x_sample;
+    std::fill(gi, gi + d.x_sample, 0.0f);
+    for (long co = 0; co < d.c_out; ++co) {
+      const float* wf = wd + co * d.w_per_out;
+      const float* gp = gs + co * d.o_plane;
+      for (long ci = 0; ci < d.c_in; ++ci) {
+        float* gip = gi + ci * d.x_plane;
+        const float* wp = wf + ci * d.kernel * d.kernel;
+        for (long ky = 0; ky < d.kernel; ++ky) {
+          for (long kx = 0; kx < d.kernel; ++kx) {
+            const float wv = wp[ky * d.kernel + kx];
+            if (wv == 0.0f) continue;
+            const long ox_lo = std::max(0L, d.pad - kx);
+            const long ox_hi = std::min(d.w_out, d.w + d.pad - kx);
+            for (long oy = 0; oy < d.h_out; ++oy) {
+              const long iy = oy + ky - d.pad;
+              if (iy < 0 || iy >= d.h) continue;
+              float* grow_in = gip + iy * d.w + (kx - d.pad);
+              const float* grow = gp + oy * d.w_out;
+              for (long ox = ox_lo; ox < ox_hi; ++ox)
+                grow_in[ox] += wv * grow[ox];
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+/// Copies a rows x cols plane (row stride `cols`) into the interior of a
+/// zero-bordered plane: row r lands at dst + (r + border) * dst_stride +
+/// border. The border is never written, so it keeps its zeros.
+void CopyIntoPadded(const float* src, long rows, long cols, float* dst,
+                    long dst_stride, long border) {
+  for (long r = 0; r < rows; ++r)
+    std::copy(src + r * cols, src + (r + 1) * cols,
+              dst + (r + border) * dst_stride + border);
+}
+
 // --- im2col (the simd path's packed input) -----------------------------------
 
 /// Writes one sample's im2col matrix: col[k][o] with k walking (ci, ky, kx)
@@ -387,6 +473,144 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
             for (long i = 0; i < d.o_plane; ++i) op[i] = b;
             ScatterChannelF32(wd + co * d.w_per_out, c_offs, c_rows, c_cols,
                               c_vals, op, d);
+          }
+        }
+      },
+      grain);
+}
+
+// --- fp32 Backward dispatchers -----------------------------------------------
+
+void Conv2dBackwardParams(const Tensor& x, const Tensor& grad_out,
+                          Tensor& dweight, Tensor& dbias,
+                          const Conv2dGeom& geom, KernelMode mode,
+                          runtime::Workspace& scratch) {
+  AXSNN_CHECK(x.rank() >= 3, "Conv2dBackwardParams expects [*, C, H, W]");
+  const Dims d = MakeDims(x.numel(), x.shape(), geom);
+  AXSNN_CHECK(grad_out.numel() == d.n * d.o_sample,
+              "Conv2dBackwardParams gradient shape mismatch");
+  AXSNN_CHECK(dweight.numel() == d.c_out * d.w_per_out &&
+                  dbias.numel() == d.c_out,
+              "Conv2dBackwardParams gradient buffers mismatch");
+  const float* xd = x.data();
+  const float* gd = grad_out.data();
+  float* gwd = dweight.data();
+  float* gbd = dbias.data();
+
+  const KernelPlan plan = PlanKernel(KernelFamily::kConvDwF32, mode, xd, d.n,
+                                     d.x_sample, scratch, nullptr);
+  if (plan.mode == KernelMode::kNaive) {
+    Conv2dBackwardParamsNaive(xd, gd, gwd, gbd, d);
+    return;
+  }
+
+  // kSimd: tasks own disjoint weights — a block of 8 output channels (the
+  // vector lanes) times a range of k = (ci, ky, kx) — and walk every sample
+  // in ascending order, so each weight's per-sample sums reach it in the
+  // naive order. Each task keeps its own scratch: the sample's gradient
+  // rows transposed to [o][8], the input planes its k range reads,
+  // zero-padded, and its weights' running sums as [k][8]. About 16 tasks,
+  // k ranges a multiple of 8 (one full tile group) where kk allows.
+  const long kk = d.w_per_out;
+  const long kk2 = d.kernel * d.kernel;
+  const long blocks = (d.c_out + 7) / 8;
+  const long splits =
+      std::max(1L, std::min((kk + 7) / 8, (16 + blocks - 1) / blocks));
+  const long k_range = simd::RoundUp8((kk + splits - 1) / splits);
+  const long ranges = (kk + k_range - 1) / k_range;
+  const long hp = d.h + 2 * d.pad;
+  const long wp = d.w + 2 * d.pad;
+  const long max_ci = std::min(d.c_in, (k_range - 1) / kk2 + 2);
+  const long gt_len = d.o_plane * 8;
+  const long xp_len = max_ci * hp * wp;
+  // Per-task slabs start on 64-byte boundaries: no false sharing.
+  const long slab = (gt_len + xp_len + k_range * 8 + 15) & ~15L;
+  const long tasks = blocks * ranges;
+  float* pd = scratch.Acquire(slots::kDwPack, tasks * slab).data();
+  runtime::ParallelFor(
+      0, tasks,
+      [&](long task) {
+        const long co0 = (task / ranges) * 8;
+        const long live = std::min(8L, d.c_out - co0);
+        const long k_lo = (task % ranges) * k_range;
+        const long k_hi = std::min(kk, k_lo + k_range);
+        const long ci_lo = k_lo / kk2;
+        const long ci_hi = (k_hi - 1) / kk2 + 1;
+        float* gt = pd + task * slab;
+        float* xp = gt + gt_len;
+        float* dwt = xp + xp_len;
+        std::fill(xp, xp + (ci_hi - ci_lo) * hp * wp, 0.0f);
+        for (long k = k_lo; k < k_hi; ++k)
+          for (long j = 0; j < 8; ++j)
+            dwt[(k - k_lo) * 8 + j] = j < live ? gwd[(co0 + j) * kk + k] : 0.0f;
+        double gb[8] = {};
+        for (long s = 0; s < d.n; ++s) {
+          simd::TransposeRows8F32(gd + s * d.o_sample + co0 * d.o_plane, live,
+                                  d.o_plane, d.o_plane, gt);
+          for (long ci = ci_lo; ci < ci_hi; ++ci)
+            CopyIntoPadded(xd + s * d.x_sample + ci * d.x_plane, d.h, d.w,
+                           xp + (ci - ci_lo) * hp * wp, wp, d.pad);
+          simd::ConvDwTileF32(gt, xp, dwt, k_lo == 0 ? gb : nullptr, k_lo,
+                              k_hi, ci_lo, d.kernel, hp, wp, d.h_out,
+                              d.w_out);
+        }
+        for (long k = k_lo; k < k_hi; ++k)
+          for (long j = 0; j < live; ++j)
+            gwd[(co0 + j) * kk + k] = dwt[(k - k_lo) * 8 + j];
+        if (k_lo == 0)
+          for (long j = 0; j < live; ++j)
+            gbd[co0 + j] += static_cast<float>(gb[j]);
+      },
+      /*grain=*/1);
+}
+
+void Conv2dBackwardInput(const Tensor& weight, const Tensor& grad_out,
+                         Tensor& grad_in, const Conv2dGeom& geom,
+                         KernelMode mode, runtime::Workspace& scratch) {
+  AXSNN_CHECK(grad_in.rank() >= 3, "Conv2dBackwardInput expects [*, C, H, W]");
+  const Dims d = MakeDims(grad_in.numel(), grad_in.shape(), geom);
+  AXSNN_CHECK(weight.numel() == d.c_out * d.w_per_out,
+              "Conv2dBackwardInput weight shape mismatch");
+  AXSNN_CHECK(grad_out.numel() == d.n * d.o_sample,
+              "Conv2dBackwardInput gradient shape mismatch");
+  const float* wd = weight.data();
+  const float* gd = grad_out.data();
+  float* gid = grad_in.data();
+
+  const KernelPlan plan = PlanKernel(KernelFamily::kConvDxF32, mode, gd, d.n,
+                                     d.o_sample, scratch, nullptr);
+  if (plan.mode == KernelMode::kNaive) {
+    Conv2dBackwardInputNaive(wd, gd, gid, d);
+    return;
+  }
+
+  // kSimd: per sample, each output channel's gradient plane is copied into
+  // a zero-bordered plane (kernel-1-pad on every side, plus 8 floats the
+  // last partial vector may read), and the tile adds that channel's terms
+  // to every input pixel; channels run in ascending order. One plane per
+  // chunk, at most 16 chunks (the forward simd path's cap).
+  const long q = d.kernel - 1 - d.pad;
+  const long gh = d.h + d.kernel - 1;
+  const long gw = d.w + d.kernel - 1;
+  const long plane = (gh * gw + 8 + 15) & ~15L;
+  const long grain = std::max(runtime::DefaultGrain(d.n), (d.n + 15) / 16);
+  float* pd = scratch
+                  .Acquire(slots::kDxPack,
+                           runtime::NumChunks(d.n, grain) * plane)
+                  .data();
+  runtime::ParallelForChunks(
+      0, d.n,
+      [&](long chunk, long lo, long hi) {
+        float* gp = pd + chunk * plane;
+        std::fill(gp, gp + plane, 0.0f);
+        for (long s = lo; s < hi; ++s) {
+          float* gi = gid + s * d.x_sample;
+          std::fill(gi, gi + d.x_sample, 0.0f);
+          for (long co = 0; co < d.c_out; ++co) {
+            CopyIntoPadded(gd + s * d.o_sample + co * d.o_plane, d.h_out,
+                           d.w_out, gp, gw, q);
+            simd::ConvDxPlaneF32(wd + co * d.w_per_out, gp, gi, d.c_in, d.h,
+                                 d.w, d.kernel);
           }
         }
       },

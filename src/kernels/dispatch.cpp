@@ -146,15 +146,24 @@ namespace {
 
 /// Each family's sparse threshold, indexed [KernelFamily][SIMD tier
 /// active]. With a tier the int8 families' 32-MAC instructions lower the
-/// sparse crossover; the fp32 thresholds do not depend on the tier.
-constexpr float kSparseMax[4][2] = {
-    /* conv fp32  */ {kConvSparseDensityMax, kConvSparseDensityMax},
-    /* dense fp32 */ {kDenseSparseDensityMax, kDenseSparseDensityMax},
-    /* conv int8  */ {kConvSparseDensityMax, kConvSparseDensityMaxI8Simd},
-    /* dense int8 */ {kDenseSparseDensityMax, kDenseSparseDensityMaxI8Simd},
+/// sparse crossover; the fp32 thresholds do not depend on the tier. A
+/// negative threshold marks a family without a sparse kernel: no density
+/// is at or below it.
+constexpr float kNoSparse = -1.0f;
+constexpr float kSparseMax[6][2] = {
+    /* conv fp32    */ {kConvSparseDensityMax, kConvSparseDensityMax},
+    /* dense fp32   */ {kDenseSparseDensityMax, kDenseSparseDensityMax},
+    /* conv int8    */ {kConvSparseDensityMax, kConvSparseDensityMaxI8Simd},
+    /* dense int8   */ {kDenseSparseDensityMax, kDenseSparseDensityMaxI8Simd},
+    /* conv dW fp32 */ {kNoSparse, kNoSparse},
+    /* conv dX fp32 */ {kNoSparse, kNoSparse},
 };
 
 }  // namespace
+
+bool HasSparseKernel(KernelFamily family) {
+  return kSparseMax[static_cast<int>(family)][0] >= 0.0f;
+}
 
 KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
                             float density, SimdTier tier) {
@@ -162,6 +171,9 @@ KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
               "kernel mode gemm is retired; use one of auto, naive, sparse, "
               "simd");
   const bool simd = tier != SimdTier::kScalar;
+  // No sparse kernel: a forced sparse takes the dense fallback, as auto does.
+  if (mode == KernelMode::kSparse && !HasSparseKernel(family))
+    mode = KernelMode::kAuto;
   mode = ChooseByDensity(mode, density,
                          kSparseMax[static_cast<int>(family)][simd],
                          KernelMode::kSimd);
@@ -176,7 +188,8 @@ KernelPlan PlanKernel(KernelFamily family, KernelMode requested, const T* x,
   KernelPlan plan;
   const KernelMode mode = ResolveKernelMode(requested);
   float density = 0.0f;
-  if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
+  if (HasSparseKernel(family) &&
+      (mode == KernelMode::kAuto || mode == KernelMode::kSparse)) {
     // Spike words serve the density probe (a popcount — the same count as
     // an elementwise probe) and the sparse gather.
     long nonzero;

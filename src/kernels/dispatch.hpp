@@ -165,15 +165,29 @@ KernelMode ResolveKernelMode(KernelMode requested);
 KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
                            KernelMode dense_fallback);
 
-/// The weight-kernel families: layer type x weight precision.
-enum class KernelFamily { kConvF32, kDenseF32, kConvI8, kDenseI8 };
+/// The weight-kernel families: layer type x weight precision for the
+/// forward, plus the two halves of the fp32 conv Backward (kConvDwF32: the
+/// weight and bias gradients; kConvDxF32: the input gradient).
+enum class KernelFamily {
+  kConvF32,
+  kDenseF32,
+  kConvI8,
+  kDenseI8,
+  kConvDwF32,
+  kConvDxF32,
+};
+
+/// Whether `family` has a sparse kernel. The Backward families do not: the
+/// gradient reaching a conv output is dense (the surrogate is never zero).
+bool HasSparseKernel(KernelFamily family);
 
 /// Rules 3-4 and the simd degrade of one call, as a pure function: `mode`
 /// is the call's mode after rule 1, `density` the input's nonzero fraction
 /// (read for kAuto only), `tier` the active SIMD tier. Each family's sparse
-/// threshold comes from one four-row table (dispatch.cpp, DESIGN.md
-/// "Dispatch heuristics"); the int8 rows depend on the tier. The dense
-/// fallback is simd with a tier, naive without. Throws
+/// threshold comes from one table (dispatch.cpp, DESIGN.md "Dispatch
+/// heuristics"); the int8 rows depend on the tier. The dense fallback is
+/// simd with a tier, naive without; a family without a sparse kernel takes
+/// it for kAuto and for a forced kSparse alike. Throws
 /// std::invalid_argument for the retired kGemm.
 KernelMode DecideKernelMode(KernelFamily family, KernelMode mode,
                             float density, SimdTier tier);
@@ -190,9 +204,10 @@ struct KernelPlan {
 /// The whole decision for one weight-kernel call over `n_samples` rows of
 /// `sample_len` elements at `x` (float activations, or the int8 backend's
 /// int32/int8 codes): rule 1 (ResolveKernelMode); for kAuto and kSparse
-/// the spike words, taken from `packed` or packed into `scratch` (slot
-/// slots::kWords); then DecideKernelMode with their density and
-/// ActiveSimdTier().
+/// on a family with a sparse kernel, the spike words, taken from `packed`
+/// or packed into `scratch` (slot slots::kWords); then DecideKernelMode
+/// with their density and ActiveSimdTier(). The Backward families probe
+/// nothing and never read `x`.
 template <typename T>
 KernelPlan PlanKernel(KernelFamily family, KernelMode requested, const T* x,
                       long n_samples, long sample_len,
@@ -205,6 +220,8 @@ namespace slots {
 // float slots (Workspace::Acquire)
 inline constexpr std::size_t kPack = 0;        ///< im2col / transposed packs
 inline constexpr std::size_t kSparseVals = 1;  ///< gathered nonzero values
+inline constexpr std::size_t kDwPack = 2;  ///< conv dW: per-task tiles
+inline constexpr std::size_t kDxPack = 3;  ///< conv dX: padded grad planes
 // int32 slots (Workspace::AcquireI32)
 inline constexpr std::size_t kOffsets = 0;  ///< per-plane nonzero offsets
 inline constexpr std::size_t kRows = 1;     ///< nonzero row coords / indices

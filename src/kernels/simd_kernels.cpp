@@ -14,8 +14,10 @@
 
 #include "kernels/simd_kernels.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "kernels/simd_detail.hpp"
 
@@ -133,6 +135,207 @@ void DenseBlockF32(const float* wd, const float* bd, const float* xt,
     DenseBlockRowsF32<8>(wd, bd, xt, os, o, nr, f_in, f_out);
   for (; o < f_out; ++o)
     DenseBlockRowsF32<1>(wd, bd, xt, os, o, nr, f_in, f_out);
+}
+
+void TransposeRows8F32(const float* src, long live, long stride, long len,
+                       float* dst) {
+  long o = 0;
+  for (; o + 8 <= len; o += 8) {
+    __m256 r[8];
+    for (long j = 0; j < 8; ++j)
+      r[j] = j < live ? _mm256_loadu_ps(src + j * stride + o)
+                      : _mm256_setzero_ps();
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    float* d = dst + o * 8;
+    _mm256_storeu_ps(d, _mm256_permute2f128_ps(s0, s4, 0x20));
+    _mm256_storeu_ps(d + 8, _mm256_permute2f128_ps(s1, s5, 0x20));
+    _mm256_storeu_ps(d + 16, _mm256_permute2f128_ps(s2, s6, 0x20));
+    _mm256_storeu_ps(d + 24, _mm256_permute2f128_ps(s3, s7, 0x20));
+    _mm256_storeu_ps(d + 32, _mm256_permute2f128_ps(s0, s4, 0x31));
+    _mm256_storeu_ps(d + 40, _mm256_permute2f128_ps(s1, s5, 0x31));
+    _mm256_storeu_ps(d + 48, _mm256_permute2f128_ps(s2, s6, 0x31));
+    _mm256_storeu_ps(d + 56, _mm256_permute2f128_ps(s3, s7, 0x31));
+  }
+  for (; o < len; ++o)
+    for (long j = 0; j < 8; ++j)
+      dst[o * 8 + j] = j < live ? src[j * stride + o] : 0.0f;
+}
+
+namespace {
+
+/// Calls f(std::integral_constant<int, n>{}) for n in [1, 8]. The conv
+/// Backward tiles take their in-flight count as a template parameter, so
+/// their accumulator arrays stay in registers.
+template <typename F>
+inline void WithCount8(long n, F&& f) {
+  switch (n) {
+    case 8: f(std::integral_constant<int, 8>{}); break;
+    case 7: f(std::integral_constant<int, 7>{}); break;
+    case 6: f(std::integral_constant<int, 6>{}); break;
+    case 5: f(std::integral_constant<int, 5>{}); break;
+    case 4: f(std::integral_constant<int, 4>{}); break;
+    case 3: f(std::integral_constant<int, 3>{}); break;
+    case 2: f(std::integral_constant<int, 2>{}); break;
+    default: f(std::integral_constant<int, 1>{}); break;
+  }
+}
+
+/// kG weight gradients (one k each, 8 output channels per lane group) of
+/// one sample: per-k sums from +0 over (oy, ox) ascending, then added into
+/// their dwt rows. xk[g] points at (oy, ox) = (0, 0) of k's padded window.
+template <int kG>
+inline void DwGroupF32(const float* gt, const float* const* xk, float* dwt,
+                       long h_out, long w_out, long wp) {
+  __m256 acc[kG];
+  for (int g = 0; g < kG; ++g) acc[g] = _mm256_setzero_ps();
+  for (long oy = 0; oy < h_out; ++oy) {
+    const float* grow = gt + oy * w_out * 8;
+    const long xo = oy * wp;
+    for (long ox = 0; ox < w_out; ++ox) {
+      const __m256 gv = _mm256_loadu_ps(grow + ox * 8);
+      for (int g = 0; g < kG; ++g)
+        acc[g] = _mm256_add_ps(
+            acc[g], _mm256_mul_ps(gv, _mm256_broadcast_ss(xk[g] + xo + ox)));
+    }
+  }
+  for (int g = 0; g < kG; ++g)
+    _mm256_storeu_ps(dwt + g * 8,
+                     _mm256_add_ps(_mm256_loadu_ps(dwt + g * 8), acc[g]));
+}
+
+}  // namespace
+
+void ConvDwTileF32(const float* gt, const float* xpad, float* dwt,
+                   double* gb, long k_lo, long k_hi, long ci_lo, long kernel,
+                   long hp, long wp, long h_out, long w_out) {
+  const long kk = kernel * kernel;
+  // (ci, ky, kx) of k, advanced without division.
+  long ci = k_lo / kk;
+  long ky = (k_lo - ci * kk) / kernel;
+  long kx = k_lo - ci * kk - ky * kernel;
+  const float* xk[8];
+  for (long k0 = k_lo; k0 < k_hi; k0 += 8) {
+    const long group = std::min(8L, k_hi - k0);
+    for (long g = 0; g < group; ++g) {
+      xk[g] = xpad + (ci - ci_lo) * hp * wp + ky * wp + kx;
+      if (++kx == kernel) {
+        kx = 0;
+        if (++ky == kernel) {
+          ky = 0;
+          ++ci;
+        }
+      }
+    }
+    float* d = dwt + (k0 - k_lo) * 8;
+    WithCount8(group, [&](auto g) {
+      DwGroupF32<decltype(g)::value>(gt, xk, d, h_out, w_out, wp);
+    });
+  }
+  if (gb == nullptr) return;
+  // Two independent double chains, lanes 0-3 and 4-7.
+  __m256d lo = _mm256_loadu_pd(gb);
+  __m256d hi = _mm256_loadu_pd(gb + 4);
+  const long o_plane = h_out * w_out;
+  for (long o = 0; o < o_plane; ++o) {
+    const __m256 g = _mm256_loadu_ps(gt + o * 8);
+    lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(g)));
+    hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps(g, 1)));
+  }
+  _mm256_storeu_pd(gb, lo);
+  _mm256_storeu_pd(gb + 4, hi);
+}
+
+namespace {
+
+/// Lane masks for a row's last partial vector: LaneMask(live) enables
+/// lanes [0, live).
+alignas(32) constexpr std::int32_t kLaneMaskTable[16] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+inline __m256i LaneMask(long live) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLaneMaskTable + 8 - live));
+}
+
+/// kV pixel vectors of one (ci, output channel) input-gradient update.
+/// Vector v covers dx[dx_off[v] ..] (live[v] lanes) and reads the padded
+/// gradient plane from gp_off[v]; terms run (ky, kx) ascending. Eight
+/// vectors in flight cover the add latency.
+template <int kV>
+inline void DxVectorsF32(const float* wk, const float* gp, float* dxp,
+                         const long* dx_off, const long* gp_off,
+                         const long* live, long kernel, long gw) {
+  __m256 acc[kV];
+  __m256i mask[kV];
+  for (int v = 0; v < kV; ++v) {
+    mask[v] = LaneMask(live[v]);
+    acc[v] = live[v] == 8 ? _mm256_loadu_ps(dxp + dx_off[v])
+                          : _mm256_maskload_ps(dxp + dx_off[v], mask[v]);
+  }
+  for (long ky = 0; ky < kernel; ++ky) {
+    for (long kx = 0; kx < kernel; ++kx) {
+      const float w = wk[ky * kernel + kx];
+      if (w == 0.0f) continue;  // pruned connection: no term, as in naive
+      const __m256 vw = _mm256_set1_ps(w);
+      const float* g = gp + (kernel - 1 - ky) * gw + (kernel - 1 - kx);
+      for (int v = 0; v < kV; ++v)
+        acc[v] = _mm256_add_ps(
+            acc[v], _mm256_mul_ps(vw, _mm256_loadu_ps(g + gp_off[v])));
+    }
+  }
+  for (int v = 0; v < kV; ++v) {
+    if (live[v] == 8)
+      _mm256_storeu_ps(dxp + dx_off[v], acc[v]);
+    else
+      _mm256_maskstore_ps(dxp + dx_off[v], mask[v], acc[v]);
+  }
+}
+
+}  // namespace
+
+void ConvDxPlaneF32(const float* wco, const float* gpad, float* dx,
+                    long c_in, long h, long w, long kernel) {
+  const long kk = kernel * kernel;
+  const long gw = w + kernel - 1;
+  const long vectors = h * ((w + 7) / 8);
+  for (long ci = 0; ci < c_in; ++ci) {
+    const float* wk = wco + ci * kk;
+    float* dxp = dx + ci * h * w;
+    long iy = 0;
+    long ix = 0;
+    for (long v0 = 0; v0 < vectors; v0 += 8) {
+      const long nv = std::min(8L, vectors - v0);
+      long dx_off[8], gp_off[8], live[8];
+      for (long v = 0; v < nv; ++v) {
+        dx_off[v] = iy * w + ix;
+        gp_off[v] = iy * gw + ix;
+        live[v] = std::min(8L, w - ix);
+        ix += 8;
+        if (ix >= w) {
+          ix = 0;
+          ++iy;
+        }
+      }
+      WithCount8(nv, [&](auto v) {
+        DxVectorsF32<decltype(v)::value>(wk, gpad, dxp, dx_off, gp_off, live,
+                                         kernel, gw);
+      });
+    }
+  }
 }
 
 void ConvPanelI8(const std::int8_t* wpad, const float* scales,
@@ -303,6 +506,17 @@ void ConvGemmF32(const float*, const float*, const float*, float*, long,
 }
 void DenseBlockF32(const float*, const float*, const float*, float*, long,
                    long, long) {
+  std::abort();
+}
+void TransposeRows8F32(const float*, long, long, long, float*) {
+  std::abort();
+}
+void ConvDwTileF32(const float*, const float*, float*, double*, long, long,
+                   long, long, long, long, long, long) {
+  std::abort();
+}
+void ConvDxPlaneF32(const float*, const float*, float*, long, long, long,
+                    long) {
   std::abort();
 }
 void ConvPanelI8(const std::int8_t*, const float*, float, const float*,

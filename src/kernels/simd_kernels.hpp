@@ -15,10 +15,12 @@
 //    order, and the single requantization multiply matches the naive
 //    write-out bit for bit.
 //  * fp32: the tiles vectorize across independent outputs (8 output pixels
-//    or 8 samples per vector), never across one output's terms. Each lane
-//    starts from the bias and adds w*x as a separate multiply and add
-//    (never FMA: the naive TU has no FMA ISA), k or i ascending — the naive
-//    loop's order and rounding, term for term.
+//    or 8 samples per vector; for the conv Backward, 8 output channels'
+//    weight gradients or 8 input pixels' gradients), never across one
+//    output's terms. Each lane starts from the bias (or +0, or the value
+//    it accumulates into) and adds w*x as a separate multiply and add
+//    (never FMA: the naive TU has no FMA ISA), in the naive loop's order —
+//    its rounding, term for term.
 //
 // int8 conv panel layout ("panel" arguments): output pixels are grouped in
 // blocks of 8 and the im2col k axis in groups of 4, matching one vpdpbusd:
@@ -52,6 +54,41 @@ void ConvGemmF32(const float* wd, const float* bd, const float* col,
 /// are not skipped, as DenseNaive skips none.
 void DenseBlockF32(const float* wd, const float* bd, const float* xt,
                    float* os, long nr, long f_in, long f_out);
+
+// --- fp32 conv Backward ------------------------------------------------------
+
+/// Transposes `live` rows of `len` floats (row j at src + j * stride) into
+/// dst[o * 8 + j] for o < len; lanes j >= live are zero. Moves bits only.
+void TransposeRows8F32(const float* src, long live, long stride, long len,
+                       float* dst);
+
+/// One sample's conv weight-gradient terms for 8 output channels (the
+/// lanes): for each k = (ci, ky, kx) in [k_lo, k_hi), with kk = kernel^2,
+///   dwt[(k - k_lo) * 8 + j] += sum over (oy, ox) of
+///     gt[(oy * w_out + ox) * 8 + j] *
+///     xpad[(ci - ci_lo) * hp * wp + (oy + ky) * wp + ox + kx],
+/// where the sum starts from +0 and walks (oy, ox) ascending — the naive
+/// loop's per-sample sum, with the padding positions' exact zeros added in
+/// (±0 no-ops). `gt` is the sample's output gradient as TransposeRows8F32
+/// lays it out; `xpad` holds input planes ci_lo.. zero-padded to hp x wp.
+/// Up to 8 k run in flight, sharing each gt load. When `gb` is non-null,
+/// also gb[j] += gt[o * 8 + j] in double, o ascending (the bias gradient).
+void ConvDwTileF32(const float* gt, const float* xpad, float* dwt,
+                   double* gb, long k_lo, long k_hi, long ci_lo, long kernel,
+                   long hp, long wp, long h_out, long w_out);
+
+/// One (sample, output channel) of the conv input gradient: for every
+/// input pixel (ci, iy, ix) of dx ([c_in][h][w], accumulated in place),
+///   dx += w[ci][ky][kx] * gpad[(iy + kernel-1-ky) * gw + ix + kernel-1-kx]
+/// over (ky, kx) ascending, skipping zero weights, with unfused multiply
+/// and add. `wco` is the channel's weights [c_in][kernel][kernel]; `gpad`
+/// its gradient plane zero-padded by kernel-1-pad on every side (gw = w +
+/// kernel - 1 columns), followed by 8 readable floats. Called for output
+/// channels in ascending order, this is the naive loop's per-pixel (co,
+/// ky, kx) order. Vectorized over 8 pixels of one row, 8 vectors in
+/// flight; a row's last partial vector loads and stores under a mask.
+void ConvDxPlaneF32(const float* wco, const float* gpad, float* dx,
+                    long c_in, long h, long w, long kernel);
 
 // --- int8 (exact) ------------------------------------------------------------
 

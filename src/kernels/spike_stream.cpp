@@ -11,16 +11,20 @@
 
 namespace axsnn::kernels {
 
-void SpikeStream::Configure(long time_steps, long batch, Shape sample_shape) {
+void SpikeStream::Configure(long time_steps, long batch,
+                            std::span<const long> sample_shape) {
   AXSNN_CHECK(time_steps > 0, "SpikeStream: time_steps must be positive");
   AXSNN_CHECK(batch > 0, "SpikeStream: batch must be positive");
-  const long plane = NumElements(sample_shape);
-  AXSNN_CHECK(plane > 0, "SpikeStream: sample plane must be non-empty");
+  long plane = 1;
+  for (long d : sample_shape) plane *= d;
+  AXSNN_CHECK(!sample_shape.empty() && plane > 0,
+              "SpikeStream: sample plane must be non-empty");
   time_steps_ = time_steps;
   batch_ = batch;
   plane_ = plane;
   words_per_plane_ = SpikeWordCount(plane);
-  sample_shape_ = std::move(sample_shape);
+  // assign reuses the vector's capacity: no allocation once warm.
+  sample_shape_.assign(sample_shape.begin(), sample_shape.end());
   const std::size_t n_words =
       std::size_t(time_steps_) * std::size_t(batch_) *
       std::size_t(words_per_plane_);

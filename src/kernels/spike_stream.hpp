@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "runtime/aligned.hpp"
@@ -38,8 +40,16 @@ class SpikeStream {
   /// plane has shape `sample_shape` (e.g. {2, 32, 32}), zero-filling all
   /// words and counts. Storage is reused across calls (never shrinks), so
   /// a stream reconfigured per evaluation batch is allocation-free in
-  /// steady state.
-  void Configure(long time_steps, long batch, Shape sample_shape);
+  /// steady state. The shape is a view (a braced list binds to the
+  /// initializer_list overload), so no temporary Shape is built either.
+  void Configure(long time_steps, long batch,
+                 std::span<const long> sample_shape);
+  void Configure(long time_steps, long batch,
+                 std::initializer_list<long> sample_shape) {
+    Configure(time_steps, batch,
+              std::span<const long>(sample_shape.begin(),
+                                    sample_shape.size()));
+  }
 
   long time_steps() const { return time_steps_; }
   long batch() const { return batch_; }

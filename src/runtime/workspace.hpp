@@ -4,7 +4,8 @@
 // Acquire(slot, shape) resizes the slot's tensor to `shape` without
 // shrinking its capacity, so after the first pass over a given problem size
 // every subsequent pass reuses the same heap blocks — Network::ForwardShared
-// ping-pongs activations between two slots, the inference helpers stage
+// ping-pongs activations between two slots (and Network::Backward its
+// gradients through the same two), the inference helpers stage
 // batches/encodings in further slots, and the kernel dispatch engine
 // (src/kernels/) keeps its im2col packing buffers, nonzero gather lists and
 // int8 code/accumulator scratch in the typed arenas (AcquireI32/AcquireI8).

@@ -3,8 +3,9 @@
 // Spiking networks apply the same synaptic weights at every time step, so the
 // convolution treats the leading [T, B] axes of a time-major activation as
 // one large batch. Backward accumulates weight/bias gradients summed over
-// time and returns the input gradient, enabling both training (BPTT) and
-// input-space adversarial attacks.
+// time and produces the input gradient, as its request asks, enabling both
+// training (BPTT) and input-space adversarial attacks. Both halves run
+// behind the kernel dispatcher (kernels/conv2d_kernels.hpp).
 #pragma once
 
 #include <memory>
@@ -24,7 +25,8 @@ class Conv2d final : public WeightLayer {
          long pad, Rng& rng);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Backward(const Tensor& grad_out) override;
+  void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                    GradRequest request) override;
   std::unique_ptr<Layer> Clone() const override;
 
   long in_channels() const { return in_channels_; }

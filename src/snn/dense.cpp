@@ -1,5 +1,7 @@
 #include "snn/dense.hpp"
 
+#include <algorithm>
+
 #include "approx/int8_backend.hpp"
 #include "kernels/dense_kernels.hpp"
 #include "runtime/parallel_for.hpp"
@@ -56,7 +58,8 @@ void Dense::RunKernel(const Tensor& x, Tensor& out,
                         packed);
 }
 
-Tensor Dense::Backward(const Tensor& grad_out) {
+void Dense::BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                         GradRequest request) {
   AXSNN_CHECK(!cached_input().empty(),
               "Dense::Backward called before Forward");
   const Tensor& x = cached_input();
@@ -64,32 +67,36 @@ Tensor Dense::Backward(const Tensor& grad_out) {
   AXSNN_CHECK(grad_out.numel() == n * out_features_,
               "Dense::Backward gradient shape mismatch");
 
-  Tensor grad_in(x.shape());
   const float* xd = x.data();
   const float* wd = weight().data();
   const float* gd = grad_out.data();
-  float* gid = grad_in.data();
   float* gwd = dweight().data();
   float* gbd = dbias().data();
 
   // dW/db: each iteration owns one output row of dweight.
-  runtime::ParallelFor(0, out_features_, [&](long o) {
-    float* gw = gwd + o * in_features_;
-    double gb = 0.0;
-    for (long s = 0; s < n; ++s) {
-      const float g = gd[s * out_features_ + o];
-      if (g == 0.0f) continue;
-      gb += g;
-      const float* xs = xd + s * in_features_;
-      for (long i = 0; i < in_features_; ++i) gw[i] += g * xs[i];
-    }
-    gbd[o] += static_cast<float>(gb);
-  });
+  if (WantsParamGrads(request)) {
+    runtime::ParallelFor(0, out_features_, [&](long o) {
+      float* gw = gwd + o * in_features_;
+      double gb = 0.0;
+      for (long s = 0; s < n; ++s) {
+        const float g = gd[s * out_features_ + o];
+        if (g == 0.0f) continue;
+        gb += g;
+        const float* xs = xd + s * in_features_;
+        for (long i = 0; i < in_features_; ++i) gw[i] += g * xs[i];
+      }
+      gbd[o] += static_cast<float>(gb);
+    });
+  }
 
+  if (!WantsInputGrad(request)) return;
+  grad_in.ResizeTo(x.shape());
+  float* gid = grad_in.data();
   // dX: each iteration owns one sample row of grad_in.
   runtime::ParallelFor(0, n, [&](long s) {
     const float* gs = gd + s * out_features_;
     float* gi = gid + s * in_features_;
+    std::fill(gi, gi + in_features_, 0.0f);
     for (long o = 0; o < out_features_; ++o) {
       const float g = gs[o];
       if (g == 0.0f) continue;
@@ -97,7 +104,6 @@ Tensor Dense::Backward(const Tensor& grad_out) {
       for (long i = 0; i < in_features_; ++i) gi[i] += g * wr[i];
     }
   });
-  return grad_in;
 }
 
 std::unique_ptr<Layer> Dense::Clone() const { return CloneAs<Dense>(); }

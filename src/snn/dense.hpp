@@ -19,7 +19,8 @@ class Dense final : public WeightLayer {
   Dense(std::string name, long in_features, long out_features, Rng& rng);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Backward(const Tensor& grad_out) override;
+  void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                    GradRequest request) override;
   std::unique_ptr<Layer> Clone() const override;
 
   long in_features() const { return in_features_; }

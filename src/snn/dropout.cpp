@@ -81,20 +81,27 @@ void Dropout::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
   }
 }
 
-Tensor Dropout::Backward(const Tensor& grad_out) {
-  if (!last_was_train_ || rate_ == 0.0f) return grad_out;
+void Dropout::BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                           GradRequest request) {
+  if (!WantsInputGrad(request)) return;  // no parameters
+  grad_in.ResizeTo(grad_out.shape());
+  if (!last_was_train_ || rate_ == 0.0f) {
+    std::copy(grad_out.data(), grad_out.data() + grad_out.numel(),
+              grad_in.data());
+    return;
+  }
   AXSNN_CHECK(!mask_.empty(), "Dropout::Backward called before Forward");
   const long t_steps = grad_out.dim(0);
   const long slice = grad_out.numel() / t_steps;
   AXSNN_CHECK(slice == mask_.numel(), "Dropout::Backward shape mismatch");
-  Tensor grad_in = grad_out;
-  float* gd = grad_in.data();
+  const float* gd = grad_out.data();
+  float* gi = grad_in.data();
   const float* md = mask_.data();
   runtime::ParallelFor(0, t_steps, [&](long t) {
-    float* slice_ptr = gd + t * slice;
-    for (long i = 0; i < slice; ++i) slice_ptr[i] *= md[i];
+    const float* gs = gd + t * slice;
+    float* is = gi + t * slice;
+    for (long i = 0; i < slice; ++i) is[i] = gs[i] * md[i];
   });
-  return grad_in;
 }
 
 std::unique_ptr<Layer> Dropout::Clone() const {

@@ -30,7 +30,8 @@ class Dropout final : public Layer {
   /// input is copied through with its spike mask forwarded unchanged.
   void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
   void BeginStepped(long time_steps, long batch) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                    GradRequest request) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
 

@@ -155,8 +155,8 @@ bool TimeMajorPackInto(const Tensor& frames_btx,
   AXSNN_CHECK(b > 0 && t_steps > 0,
               "TimeMajorPackInto: degenerate [B, T] dims " << b << "x"
                                                            << t_steps);
-  Shape sample_shape(frames_btx.shape().begin() + 2, frames_btx.shape().end());
-  stream.Configure(t_steps, b, std::move(sample_shape));
+  stream.Configure(t_steps, b,
+                   std::span<const long>(frames_btx.shape()).subspan(2));
   const long feat = stream.plane();
   const float* src = frames_btx.data();
 

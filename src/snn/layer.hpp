@@ -8,11 +8,12 @@
 // backpropagation-through-time, including the gradient with respect to the
 // *input* — which is what the gradient-based adversarial attacks consume.
 //
-// The forward path is allocation-free in steady state: ForwardInto writes
-// into a caller-provided output tensor (resized in place, which reuses its
-// heap block once capacities have warmed up), and Network::ForwardShared
-// ping-pongs activations between two runtime::Workspace slots. The
-// allocating Tensor Forward(x, train) remains as a convenience wrapper.
+// Forward and Backward are allocation-free in steady state: ForwardInto
+// and BackwardInto write into a caller-provided tensor (resized in place,
+// which reuses its heap block once capacities have warmed up), and
+// Network::ForwardShared / Network::Backward ping-pong between two
+// runtime::Workspace slots. The allocating Tensor Forward(x, train) and
+// Tensor Backward(g) remain as convenience wrappers.
 #pragma once
 
 #include <algorithm>
@@ -157,11 +158,25 @@ struct StepContext {
   long* kernel_calls_skipped = nullptr;  ///< ++ per skip-on-silent bias fill
 };
 
+/// What one Backward computes: the input gradient dL/d(input), the
+/// parameter gradients (accumulated into Layer::Grads()), or both. A caller
+/// asks for what it reads: the gradient attacks read only the input
+/// gradient, and training never reads the first layer's.
+enum class GradRequest { kInput = 1, kParams = 2, kBoth = 3 };
+
+inline bool WantsInputGrad(GradRequest r) {
+  return (static_cast<int>(r) & static_cast<int>(GradRequest::kInput)) != 0;
+}
+inline bool WantsParamGrads(GradRequest r) {
+  return (static_cast<int>(r) & static_cast<int>(GradRequest::kParams)) != 0;
+}
+
 /// Abstract base class of all network layers.
 ///
-/// Contract: Backward(g) must be called at most once after each forward pass
-/// and receives dL/d(output); it accumulates parameter gradients internally
-/// and returns dL/d(input) of the same shape as the forward input.
+/// Contract: a Backward runs after a caching forward pass and receives
+/// dL/d(output). It accumulates parameter gradients into Grads() and
+/// produces dL/d(input), of the forward input's shape, as its request
+/// asks. Backward reads only the forward's caches, so it may be repeated.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -222,8 +237,22 @@ class Layer {
   }
   virtual void EndStepped() {}
 
-  /// Backpropagates through the cached forward pass; returns dL/d(input).
-  virtual Tensor Backward(const Tensor& grad_out) = 0;
+  /// Backpropagates `grad_out` = dL/d(output) through the cached forward
+  /// pass. With WantsInputGrad(request), writes dL/d(input) into `grad_in`
+  /// (resized by the implementation, contents fully overwritten; must not
+  /// alias grad_out). With WantsParamGrads(request), adds the parameter
+  /// gradients into Grads(). A kParams request leaves `grad_in` untouched
+  /// and a kInput request leaves Grads() untouched.
+  virtual void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                            GradRequest request) = 0;
+
+  /// Allocating convenience wrapper around BackwardInto: computes both
+  /// gradients and returns dL/d(input).
+  Tensor Backward(const Tensor& grad_out) {
+    Tensor grad_in;
+    BackwardInto(grad_out, grad_in, GradRequest::kBoth);
+    return grad_in;
+  }
 
   /// Trainable parameter tensors (may be empty). Order is stable and matches
   /// Grads().

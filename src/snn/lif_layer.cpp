@@ -156,17 +156,19 @@ void LifLayer::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
   }
 }
 
-Tensor LifLayer::Backward(const Tensor& grad_out) {
+void LifLayer::BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                            GradRequest request) {
   AXSNN_CHECK(!cached_membrane_.empty(),
               "LifLayer::Backward called before a cached Forward (train, or "
               "grad_cache on)");
   const Tensor& u = cached_membrane_;
   AXSNN_CHECK(grad_out.shape() == u.shape(),
               "LifLayer::Backward gradient shape mismatch");
+  if (!WantsInputGrad(request)) return;  // no parameters
 
   const long t_steps = u.dim(0);
   const long n = u.numel() / t_steps;
-  Tensor grad_in(u.shape());
+  grad_in.ResizeTo(u.shape());
 
   const float* ud = u.data();
   const float* gd = grad_out.data();
@@ -183,7 +185,6 @@ Tensor LifLayer::Backward(const Tensor& grad_out) {
       BackStep(ud + off, gd + off, gi + off, cd + lo, len, p);
     }
   });
-  return grad_in;
 }
 
 LifStatistics LifLayer::Statistics(const Tensor& x) const {

@@ -53,7 +53,8 @@ class LifLayer final : public Layer {
   /// (binary) output spikes into ctx.out and releases the BPTT cache, so
   /// Backward after a stepped run throws.
   void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                    GradRequest request) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
 

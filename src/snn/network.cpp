@@ -35,12 +35,25 @@ const Tensor& Network::ForwardShared(const Tensor& x, bool train) {
   return *out;
 }
 
-Tensor Network::Backward(const Tensor& grad_out) {
+const Tensor& Network::Backward(const Tensor& grad_out,
+                                GradRequest request) {
   AXSNN_CHECK(!layers_.empty(), "Backward on an empty network");
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->Backward(g);
-  return g;
+  // Layers above the first always produce their input gradient: the
+  // layers below read it. Only the first layer takes `request` as given.
+  const GradRequest above = WantsParamGrads(request) ? GradRequest::kBoth
+                                                     : GradRequest::kInput;
+  // Ping-pong through the forward's two slots: layer i writes dL/d(input)
+  // into slot (i+1)%2, which held its input during the forward, so the
+  // slots grow only for the first layer's gradient (the network input).
+  const Tensor* g = &grad_out;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Tensor& buf = workspace_.Slot((i + 1) % 2);
+    AXSNN_CHECK(g != &buf, "workspace slot aliases the layer gradient");
+    layers_[i]->BackwardInto(*g, buf, i == 0 ? request : above);
+    g = &buf;
+  }
+  static const Tensor kNoInputGrad;
+  return WantsInputGrad(request) ? *g : kNoInputGrad;
 }
 
 void Network::SetGradCache(bool on) {

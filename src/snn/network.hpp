@@ -2,8 +2,9 @@
 //
 // A Network is an ordered list of layers processing time-major activations.
 // It provides:
-//  * Forward/Backward over the whole stack (Backward returns dL/d(input),
-//    which the gradient-based attacks consume directly);
+//  * Forward/Backward over the whole stack (Backward computes what its
+//    request asks: dL/d(input), which the gradient-based attacks consume
+//    directly, the parameter gradients training reads, or both);
 //  * parameter/gradient aggregation for the optimizer;
 //  * deep cloning and state-dict (de)serialization so approximation
 //    experiments can derive many AxSNN variants from one trained checkpoint;
@@ -58,12 +59,22 @@ class Network {
   /// of the network's own Workspace, which is warmed up on the first call
   /// and reused across timesteps, mini-batches and attack iterations. The
   /// returned reference points into the workspace and is valid until the
-  /// next forward pass on this network. `x` must not alias the workspace
-  /// (i.e. never feed a previous ForwardShared result back in directly).
+  /// next forward pass or Backward on this network. `x` must not alias the
+  /// workspace (i.e. never feed a previous ForwardShared result back in
+  /// directly).
   const Tensor& ForwardShared(const Tensor& x, bool train = false);
 
-  /// Backpropagates through the last Forward; returns dL/d(input).
-  Tensor Backward(const Tensor& grad_out);
+  /// Backpropagates `grad_out` = dL/d(output) through the last caching
+  /// forward. `request` names what the caller reads: kInput leaves every
+  /// Grads() tensor untouched, kParams skips the first layer's input
+  /// gradient, kBoth does both. Returns dL/d(input) for kInput and kBoth,
+  /// an empty tensor for kParams. Allocation-free in steady state: the
+  /// gradients ping-pong through the same two workspace slots as
+  /// ForwardShared, so the returned reference — and any ForwardShared
+  /// result — is valid only until the next forward or Backward on this
+  /// network. `grad_out` must not alias the workspace.
+  const Tensor& Backward(const Tensor& grad_out,
+                         GradRequest request = GradRequest::kBoth);
 
   /// Enables/disables gradient caching on inference-mode forwards for every
   /// layer (Layer::set_grad_cache). The gradient-based attacks switch this
@@ -135,7 +146,7 @@ class Network {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
-  runtime::Workspace workspace_;  // activation ping-pong for ForwardShared
+  runtime::Workspace workspace_;  // ForwardShared / Backward ping-pong
   EventPathMode event_path_ = EventPathMode::kAuto;
   PostLayerHook post_layer_hook_;  // transient; never cloned/serialized
 };

@@ -123,18 +123,21 @@ void AvgPool2d::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
   }
 }
 
-Tensor AvgPool2d::Backward(const Tensor& grad_out) {
+void AvgPool2d::BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                             GradRequest request) {
   AXSNN_CHECK(!cached_in_shape_.empty(),
               "AvgPool2d::Backward called before Forward");
-  Tensor grad_in(cached_in_shape_);
   const std::size_t r = cached_in_shape_.size();
   const long h = cached_in_shape_[r - 2];
   const long w = cached_in_shape_[r - 1];
-  const long planes = grad_in.numel() / (h * w);
+  const long planes = NumElements(cached_in_shape_) / (h * w);
   const long ho = h / window_;
   const long wo = w / window_;
   AXSNN_CHECK(grad_out.numel() == planes * ho * wo,
               "AvgPool2d::Backward gradient shape mismatch");
+  if (!WantsInputGrad(request)) return;  // no parameters
+  // The windows tile the plane (PlaneDims), so every element is written.
+  grad_in.ResizeTo(cached_in_shape_);
   const float inv = 1.0f / static_cast<float>(window_ * window_);
   const float* gd = grad_out.data();
   float* gi = grad_in.data();
@@ -150,7 +153,6 @@ Tensor AvgPool2d::Backward(const Tensor& grad_out) {
       }
     }
   });
-  return grad_in;
 }
 
 std::unique_ptr<Layer> AvgPool2d::Clone() const {
@@ -200,27 +202,29 @@ void MaxPool2d::ForwardInto(const Tensor& x, Tensor& out, bool /*train*/) {
   });
 }
 
-Tensor MaxPool2d::Backward(const Tensor& grad_out) {
+void MaxPool2d::BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                             GradRequest request) {
   AXSNN_CHECK(!cached_in_shape_.empty(),
               "MaxPool2d::Backward called before Forward");
-  Tensor grad_in(cached_in_shape_);
   const std::size_t r = cached_in_shape_.size();
   const long h = cached_in_shape_[r - 2];
   const long w = cached_in_shape_[r - 1];
-  const long planes = grad_in.numel() / (h * w);
+  const long planes = NumElements(cached_in_shape_) / (h * w);
   const long ho = h / window_;
   const long wo = w / window_;
   AXSNN_CHECK(grad_out.numel() == planes * ho * wo,
               "MaxPool2d::Backward gradient shape mismatch");
+  if (!WantsInputGrad(request)) return;  // no parameters
+  grad_in.ResizeTo(cached_in_shape_);
   const float* gd = grad_out.data();
   float* gi = grad_in.data();
   runtime::ParallelFor(0, planes, [&](long p) {
     const float* gp = gd + p * ho * wo;
     const long* am = argmax_.data() + p * ho * wo;
     float* gip = gi + p * h * w;
+    std::fill(gip, gip + h * w, 0.0f);
     for (long o = 0; o < ho * wo; ++o) gip[am[o]] += gp[o];
   });
-  return grad_in;
 }
 
 std::unique_ptr<Layer> MaxPool2d::Clone() const {

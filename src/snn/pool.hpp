@@ -29,7 +29,8 @@ class AvgPool2d final : public Layer {
   /// not binary spikes). Invalidates the Backward cache.
   void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
   void BeginStepped(long time_steps, long batch) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                    GradRequest request) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
 
@@ -49,7 +50,8 @@ class MaxPool2d final : public Layer {
 
   Shape OutputShape(const Shape& in) const override;
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  void BackwardInto(const Tensor& grad_out, Tensor& grad_in,
+                    GradRequest request) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
 

@@ -122,7 +122,7 @@ TrainResult RunTraining(Network& net, const Tensor& data,
 
       net.ZeroGrad();
       Tensor grad_seq = ReadoutMeanBackward(lr.grad_logits, cfg.time_steps);
-      net.Backward(grad_seq);
+      net.Backward(grad_seq, GradRequest::kParams);  // dL/d(input) unread
       opt.Step(net.Grads());
 
       loss_sum += lr.loss;

@@ -4,7 +4,7 @@
 // biases and their grads, the grad-cache rule, the int8 snapshot
 // (approx/int8_backend.*), the kernel-mode knob (kernels/dispatch.hpp), and
 // the one ForwardInto and ForwardStep. A subclass supplies its
-// constructor, OutputShape, geometry accessors, Backward and Clone, plus
+// constructor, OutputShape, geometry accessors, BackwardInto and Clone, plus
 // the hooks declared below.
 #pragma once
 

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -42,6 +43,7 @@
 #include "tensor/quantized.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
+#include "test_util.hpp"
 
 namespace axsnn {
 namespace {
@@ -218,6 +220,94 @@ TEST(KernelEquivalence, Conv2dInt8WithinOneUlpAcrossModes) {
   }
 }
 
+// --- conv2d Backward differential sweep --------------------------------------
+
+/// kConvCases plus the shapes the Backward tiles special-case: c_in = 1 on
+/// a 16x16 plane (static conv1), a 4x4 plane narrower than one vector
+/// (static conv3), c_in >= 4 with c_out not a multiple of 8, and a row
+/// length with a partial last vector.
+std::vector<ConvCase> ConvBackwardCases() {
+  std::vector<ConvCase> cases(std::begin(kConvCases), std::end(kConvCases));
+  cases.push_back({6, 1, 8, 16, 16, 3, 1});
+  cases.push_back({5, 16, 16, 4, 4, 3, 1});
+  cases.push_back({3, 8, 12, 8, 8, 3, 1});
+  cases.push_back({2, 5, 9, 7, 10, 3, 1});
+  return cases;
+}
+
+/// Bit-pattern equality: distinguishes -0 from +0, unlike ==.
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (long i = 0; i < got.numel(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " diverges at flat index " << i << ": " << got[i]
+        << " vs " << want[i];
+}
+
+struct ConvGrads {
+  Tensor dx, dw, db;
+};
+
+/// Two Backward calls through the dispatchers: dW/db accumulate onto the
+/// nonzero seeds, dx is overwritten (its stale contents must not leak).
+ConvGrads RunConvBackward(const ConvCase& c, const Tensor& w, const Tensor& x,
+                          const Tensor& g, const ConvGrads& seed,
+                          KernelMode mode) {
+  ScopedKernelMode force(mode);
+  runtime::Workspace scratch;
+  const kernels::Conv2dGeom geom{c.c_in, c.c_out, c.k, c.pad};
+  ConvGrads out{Tensor(x.shape(), 7.0f), seed.dw, seed.db};
+  for (int call = 0; call < 2; ++call) {
+    kernels::Conv2dBackwardParams(x, g, out.dw, out.db, geom, mode, scratch);
+    kernels::Conv2dBackwardInput(w, g, out.dx, geom, mode, scratch);
+  }
+  return out;
+}
+
+TEST(KernelEquivalence, Conv2dBackwardBitIdenticalAcrossModes) {
+  Rng rng(47);
+  for (int threads : {1, 4}) {
+    ScopedThreads pool(threads);
+    for (const ConvCase& c : ConvBackwardCases()) {
+      const long h_out = c.h + 2 * c.pad - c.k + 1;
+      const long w_out = c.w + 2 * c.pad - c.k + 1;
+      Tensor w = MakePrunedWeights({c.c_out, c.c_in, c.k, c.k}, rng);
+      const ConvGrads seed{Tensor(),
+                           Tensor::Normal(w.shape(), 0.0f, 0.1f, rng),
+                           Tensor::Normal({c.c_out}, 0.0f, 0.1f, rng)};
+      for (float density : kDensities) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " n=" << c.n
+                     << " c_in=" << c.c_in << " c_out=" << c.c_out
+                     << " h=" << c.h << " w=" << c.w << " k=" << c.k
+                     << " pad=" << c.pad << " density=" << density);
+        Tensor x = MakeSpikes({c.n, c.c_in, c.h, c.w}, density, rng);
+        // The surrogate makes the output gradient dense; a few exact zeros
+        // still reach it through pooling borders and dead readouts.
+        Tensor g = MakePrunedWeights({c.n, c.c_out, h_out, w_out}, rng);
+        const ConvGrads naive =
+            RunConvBackward(c, w, x, g, seed, KernelMode::kNaive);
+        auto expect_naive = [&](const ConvGrads& got, const char* what) {
+          ExpectSameBits(got.dx, naive.dx, what);
+          ExpectSameBits(got.dw, naive.dw, what);
+          ExpectSameBits(got.db, naive.db, what);
+        };
+        // No sparse Backward kernel: forced sparse takes the dense fallback.
+        expect_naive(RunConvBackward(c, w, x, g, seed, KernelMode::kSparse),
+                     "conv backward sparse");
+        expect_naive(RunConvBackward(c, w, x, g, seed, KernelMode::kAuto),
+                     "conv backward auto");
+        for (kernels::SimdTier cap : kTierCaps) {
+          kernels::ScopedSimdTier scoped(cap);
+          expect_naive(RunConvBackward(c, w, x, g, seed, KernelMode::kSimd),
+                       "conv backward simd");
+        }
+      }
+    }
+  }
+}
+
 // --- dense differential sweep ------------------------------------------------
 
 struct DenseCase {
@@ -382,7 +472,8 @@ TEST(KernelDispatch, DecideKernelModeFamilyTable) {
   using kernels::SimdTier;
   // The sparse threshold of each family, with and without a SIMD tier.
   // Above it every family falls back to the exact simd kernels with a tier
-  // and to naive without one.
+  // and to naive without one. The conv Backward families have no sparse
+  // kernel (threshold -1): auto and a forced sparse both take the fallback.
   struct Row {
     KernelFamily family;
     bool simd_tier;
@@ -398,6 +489,10 @@ TEST(KernelDispatch, DecideKernelModeFamilyTable) {
       {KernelFamily::kConvI8, true, 0.04f, KernelMode::kSimd},
       {KernelFamily::kDenseI8, false, 0.15f, KernelMode::kNaive},
       {KernelFamily::kDenseI8, true, 0.015f, KernelMode::kSimd},
+      {KernelFamily::kConvDwF32, false, -1.0f, KernelMode::kNaive},
+      {KernelFamily::kConvDwF32, true, -1.0f, KernelMode::kSimd},
+      {KernelFamily::kConvDxF32, false, -1.0f, KernelMode::kNaive},
+      {KernelFamily::kConvDxF32, true, -1.0f, KernelMode::kSimd},
   };
   std::vector<float> densities = {0.0f, 1.0f};
   for (float t : {0.015f, 0.04f, 0.15f}) {
@@ -418,12 +513,18 @@ TEST(KernelDispatch, DecideKernelModeFamilyTable) {
                                             tier),
                   d <= r.sparse_max ? KernelMode::kSparse : r.fallback)
             << where;
-        // Forced modes pass through; forced simd without a tier is naive;
-        // the retired gemm is refused.
+        EXPECT_EQ(kernels::HasSparseKernel(r.family), r.sparse_max >= 0.0f)
+            << where;
+        // Forced modes pass through, except a forced sparse without a
+        // sparse kernel (the fallback); forced simd without a tier is
+        // naive; the retired gemm is refused.
         for (KernelMode m : {KernelMode::kNaive, KernelMode::kSparse,
                              KernelMode::kSimd}) {
-          const KernelMode want =
-              m == KernelMode::kSimd && !r.simd_tier ? KernelMode::kNaive : m;
+          KernelMode want = m;
+          if (m == KernelMode::kSparse && r.sparse_max < 0.0f)
+            want = r.fallback;
+          if (want == KernelMode::kSimd && !r.simd_tier)
+            want = KernelMode::kNaive;
           EXPECT_EQ(kernels::DecideKernelMode(r.family, m, d, tier), want)
               << where << " forced " << kernels::KernelModeName(m);
         }
@@ -491,6 +592,14 @@ TEST(KernelDispatch, PlanKernelResolvesPacksAndReusesWords) {
       nullptr);
   EXPECT_EQ(forced.mode, KernelMode::kSparse);
   EXPECT_NE(forced.words, nullptr);
+  // A Backward family probes nothing, even under a forced sparse.
+  const kernels::KernelPlan backward = kernels::PlanKernel(
+      KernelFamily::kConvDwF32, KernelMode::kAuto, x.data(), 2, 70, scratch,
+      nullptr);
+  EXPECT_EQ(backward.mode, tier == kernels::SimdTier::kScalar
+                               ? KernelMode::kNaive
+                               : KernelMode::kSimd);
+  EXPECT_EQ(backward.words, nullptr);
 }
 
 TEST(KernelDispatch, GlobalModeOverridesRequested) {
@@ -625,6 +734,56 @@ TEST(GoldenDeterminism, SweepReportByteIdenticalAcrossModesAndPools) {
         EXPECT_EQ(golden, os.str())
             << "report changed under kernel mode "
             << kernels::KernelModeName(mode) << ", pool size " << threads;
+      }
+    }
+  }
+}
+
+TEST(GoldenDeterminism, TrainingAndPgdBitIdenticalAcrossBackwardPaths) {
+  // Training runs the parameters-only Backward and PGD the input-only one.
+  // The trained weights and the crafted images must not depend on the
+  // Backward path, the pool size or the ISA tier cap.
+  core::StaticWorkbench::Options opts;
+  opts.net.lif.v_threshold = 0.25f;
+  opts.train.epochs = 2;
+  opts.train.batch_size = 32;
+  opts.train_time_steps_cap = 4;
+  opts.attack_time_steps_cap = 4;
+  opts.attack_steps = 2;
+
+  data::SyntheticMnistOptions d;
+  d.count = 96;
+  d.seed = 53;
+  data::StaticDataset train = data::MakeSyntheticMnist(d);
+  d.count = 24;
+  d.seed = 54;
+  data::StaticDataset test = data::MakeSyntheticMnist(d);
+  const core::StaticWorkbench bench(std::move(train), std::move(test), opts);
+
+  std::map<std::string, Tensor> golden_state;
+  Tensor golden_images;
+  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kSimd}) {
+    for (int threads : {1, 4}) {
+      for (kernels::SimdTier cap : kTierCaps) {
+        SCOPED_TRACE(::testing::Message()
+                     << kernels::KernelModeName(mode) << " pool " << threads
+                     << " cap " << kernels::SimdTierName(cap));
+        ScopedThreads pool(threads);
+        ScopedKernelMode force(mode);
+        kernels::ScopedSimdTier scoped(cap);
+        const auto model = bench.Train(0.25f, 4);
+        const Tensor images = bench.Craft(model, core::AttackKind::kPgd, 0.1f);
+        const std::map<std::string, Tensor> state = model.net.StateDict();
+        if (golden_images.empty()) {
+          golden_state = state;
+          golden_images = images;
+          continue;
+        }
+        EXPECT_TRUE(axsnn::testing::SameBytes(images, golden_images));
+        ASSERT_EQ(state.size(), golden_state.size());
+        for (const auto& [key, tensor] : state)
+          EXPECT_TRUE(axsnn::testing::SameBytes(tensor, golden_state[key]))
+              << key;
       }
     }
   }

@@ -20,6 +20,7 @@ namespace {
 
 using axsnn::testing::CheckGradient;
 using axsnn::testing::ProbeLoss;
+using axsnn::testing::SameBytes;
 
 LifParams MakeParams(float vth, float beta) {
   LifParams p;
@@ -223,12 +224,6 @@ class ScopedThreads {
   ScopedThreads& operator=(const ScopedThreads&) = delete;
 };
 
-bool SameBytes(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(float) * static_cast<std::size_t>(a.numel())) ==
-             0;
-}
 
 template <typename T>
 bool SameBits(T a, T b) {

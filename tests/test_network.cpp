@@ -39,6 +39,66 @@ TEST(Network, ForwardBackwardShapes) {
   EXPECT_EQ(gi.shape(), x.shape());
 }
 
+/// Seeds every Grads() tensor with nonzero values; returns copies.
+std::vector<Tensor> SeedGrads(Network& net, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> seeds;
+  for (Tensor* g : net.Grads()) {
+    *g = Tensor::Normal(g->shape(), 0.0f, 1.0f, rng);
+    seeds.push_back(*g);
+  }
+  return seeds;
+}
+
+std::vector<Tensor> CopyGrads(Network& net) {
+  std::vector<Tensor> out;
+  for (Tensor* g : net.Grads()) out.push_back(*g);
+  return out;
+}
+
+TEST(Network, BackwardComputesWhatItsRequestAsks) {
+  DvsNetOptions dvs;
+  dvs.height = 16;
+  dvs.width = 16;
+  struct Case {
+    const char* name;
+    Network net;
+    Shape input;  // [T, B, C, H, W]
+  };
+  Case cases[] = {{"static", BuildStaticNet({}), {3, 4, 1, 16, 16}},
+                  {"dvs", BuildDvsNet(dvs), {3, 4, 2, 16, 16}}};
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(11);
+    const Tensor x = Tensor::Uniform(c.input, 0.0f, 1.0f, rng);
+    // A training forward: the DVS net's dropout draws its mask here.
+    const Tensor& seq = c.net.ForwardShared(x, /*train=*/true);
+    const Tensor g = Tensor::Normal(seq.shape(), 0.0f, 1.0f, rng);
+
+    const std::vector<Tensor> seeds = SeedGrads(c.net, 5);
+    const Tensor dx_both = c.net.Backward(g, GradRequest::kBoth);
+    const std::vector<Tensor> grads_both = CopyGrads(c.net);
+    ASSERT_EQ(dx_both.shape(), x.shape());
+
+    // Input only: every Grads() tensor keeps its seed, dX is the same.
+    SeedGrads(c.net, 5);
+    EXPECT_TRUE(axsnn::testing::SameBytes(
+        c.net.Backward(g, GradRequest::kInput), dx_both));
+    const std::vector<Tensor> grads_input = CopyGrads(c.net);
+    for (std::size_t i = 0; i < seeds.size(); ++i)
+      EXPECT_TRUE(axsnn::testing::SameBytes(grads_input[i], seeds[i]))
+          << "grad " << i << " moved under kInput";
+
+    // Parameters only: the same parameter gradients, no input gradient.
+    SeedGrads(c.net, 5);
+    EXPECT_TRUE(c.net.Backward(g, GradRequest::kParams).empty());
+    const std::vector<Tensor> grads_params = CopyGrads(c.net);
+    for (std::size_t i = 0; i < seeds.size(); ++i)
+      EXPECT_TRUE(axsnn::testing::SameBytes(grads_params[i], grads_both[i]))
+          << "grad " << i << " differs under kParams";
+  }
+}
+
 TEST(Network, EmptyNetworkThrows) {
   Network net;
   EXPECT_THROW(net.Forward(Tensor({1, 1}), false), std::invalid_argument);

@@ -3,7 +3,8 @@
 // guarantees the microkernels rely on — 64-byte alignment of every
 // Workspace arena and allocation-free steady state (the panels, padded
 // weights and spike words all live in never-shrink slots), from one
-// kernel call up to a whole Network::ForwardShared and EventRunner::Run.
+// kernel call up to a whole Network::ForwardShared, Network::Backward and
+// binned EventRunner::Run.
 //
 // The kernel-level differential sweeps live in test_kernels.cpp; this file
 // covers the supporting machinery.
@@ -27,6 +28,7 @@
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
 #include "snn/event_runner.hpp"
+#include "snn/layer.hpp"
 #include "snn/models.hpp"
 #include "snn/weight_layer.hpp"
 #include "tensor/quantized.hpp"
@@ -289,6 +291,38 @@ TEST(WorkspaceSteadyState, NetworkForwardSharedAllocatesNothing) {
   runtime::SetGlobalThreads(0);
 }
 
+TEST(WorkspaceSteadyState, NetworkBackwardAllocatesNothing) {
+  // Both nets, every request, after one warm-up Backward: the gradients
+  // ping-pong through the forward's workspace slots, and the conv Backward
+  // kernels keep their tiles in the layers' scratch.
+  snn::DvsNetOptions dvs;
+  dvs.height = 16;
+  dvs.width = 16;
+  Rng rng(321);
+  const Tensor static_x = Tensor::Uniform({4, 8, 1, 16, 16}, 0.0f, 1.0f, rng);
+  const Tensor dvs_x = Tensor::Uniform({4, 8, 2, 16, 16}, 0.0f, 1.0f, rng);
+  for (int pool : {1, 4}) {
+    runtime::SetGlobalThreads(pool);
+    for (bool is_dvs : {false, true}) {
+      snn::Network net =
+          is_dvs ? snn::BuildDvsNet(dvs) : snn::BuildStaticNet({});
+      const Tensor& x = is_dvs ? dvs_x : static_x;
+      const Tensor& seq = net.ForwardShared(x, /*train=*/true);
+      const Tensor g = Tensor::Uniform(seq.shape(), -1.0f, 1.0f, rng);
+      for (snn::GradRequest request :
+           {snn::GradRequest::kInput, snn::GradRequest::kParams,
+            snn::GradRequest::kBoth}) {
+        SCOPED_TRACE(std::string(is_dvs ? "dvs" : "static") + " pool=" +
+                     std::to_string(pool) + " request=" +
+                     std::to_string(static_cast<int>(request)));
+        net.Backward(g, request);  // warm-up
+        EXPECT_EQ(AllocationsOf([&] { net.Backward(g, request); }), 0);
+      }
+    }
+  }
+  runtime::SetGlobalThreads(0);
+}
+
 TEST(WorkspaceSteadyState, EventRunnerRunAllocatesNothing) {
   data::DvsGestureOptions dopts;
   dopts.count = 8;
@@ -296,7 +330,6 @@ TEST(WorkspaceSteadyState, EventRunnerRunAllocatesNothing) {
   dopts.height = 16;
   const data::EventDataset ds = data::MakeSyntheticDvsGesture(dopts);
   kernels::SpikeStream stream;
-  data::BinRangePacked(ds, 0, ds.size(), /*bins=*/64, stream);
 
   for (int pool : {1, 4}) {
     SCOPED_TRACE("pool=" + std::to_string(pool));
@@ -306,8 +339,15 @@ TEST(WorkspaceSteadyState, EventRunnerRunAllocatesNothing) {
     nopts.width = 16;
     snn::Network net = snn::BuildDvsNet(nopts);
     snn::EventRunner runner(net);
-    runner.Run(stream);  // warm-up sizes every slot, lane and fill cache
-    EXPECT_EQ(AllocationsOf([&] { runner.Run(stream); }), 0);
+    // Warm-up sizes the stream, every slot, lane and fill cache; binning
+    // the batch is part of the measured steady state.
+    data::BinRangePacked(ds, 0, ds.size(), /*bins=*/64, stream);
+    runner.Run(stream);
+    EXPECT_EQ(AllocationsOf([&] {
+                data::BinRangePacked(ds, 0, ds.size(), /*bins=*/64, stream);
+                runner.Run(stream);
+              }),
+              0);
   }
   runtime::SetGlobalThreads(0);
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,15 @@
 #include "tensor/tensor.hpp"
 
 namespace axsnn::testing {
+
+/// Same shape and same bytes: distinguishes -0 from +0 and compares NaN
+/// payloads, which float == does not.
+inline bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) ==
+             0;
+}
 
 /// Computes a scalar "probe loss" L = sum(out ⊙ probe) for gradient checks;
 /// dL/d(out) = probe.
